@@ -381,7 +381,8 @@ def _build_parser():
     sp.add_argument("--auto-tame", action="store_true",
                     help="perturb non-tame fields inside the collar")
     sp.add_argument("--paranoid", action="store_true",
-                    help="denser interior search")
+                    help="deeper interior search (twice the depth), plus "
+                         "denser probes for callable fields")
     sp.set_defaults(fn=_cmd_index)
 
     sp = sub.add_parser("verify", help="check the index identities for a scene")

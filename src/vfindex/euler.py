@@ -17,7 +17,7 @@ import re
 import numpy as np
 
 from .errors import UnknownShape, Unstable
-from .manifold import DomainManifold, Hypersurface
+from .manifold import DomainManifold, Hypersurface, grid_slabs
 
 MAX_REFINEMENTS = 3
 
@@ -68,31 +68,23 @@ def chi_boundary_catalog(name: str) -> int:
 def _occupancy(g, bbox, resolution, thickened):
     n = bbox.shape[0]
     res = [int(resolution)] * n
-    axes = [bbox[i, 0] + (np.arange(res[i]) + 0.5) * (bbox[i, 1] - bbox[i, 0]) / res[i]
-            for i in range(n)]
     pitch = np.array([(bbox[i, 1] - bbox[i, 0]) / res[i] for i in range(n)])
     diag = float(np.linalg.norm(pitch))
     # evaluate in slabs along the first axis to bound memory
     occ = np.empty(res, dtype=bool)
-    chunk = max(1, int(2e6 / max(1, np.prod(res[1:]))))
-    for start in range(0, res[0], chunk):
-        xs = axes[0][start:start + chunk]
-        if n == 1:
-            pts = xs[:, None]
-        else:
-            grids = np.meshgrid(xs, *axes[1:], indexing="ij")
-            pts = np.stack([gr.ravel() for gr in grids], axis=-1)
+    start = 0
+    for pts in grid_slabs(bbox, res):
         if thickened:
             # distance proxy |g|/|grad g|: the band must be measured against
             # the local scale of g, which can vary by orders of magnitude
             vals, grads = g.jets(pts)
             gn = np.linalg.norm(grads, axis=-1)
-            shape = (len(xs),) + tuple(res[1:])
-            occ[start:start + chunk] = (
-                np.abs(vals) <= diag * np.maximum(gn, 1e-12)).reshape(shape)
+            inside = np.abs(vals) <= diag * np.maximum(gn, 1e-12)
         else:
-            vals = g.values(pts).reshape((len(xs),) + tuple(res[1:]))
-            occ[start:start + chunk] = vals <= 0.0
+            inside = g.values(pts) <= 0.0
+        slab = inside.reshape((-1,) + tuple(res[1:]))
+        occ[start:start + len(slab)] = slab
+        start += len(slab)
     return occ
 
 

@@ -8,6 +8,11 @@ sin, cos, exp, sqrt.  Evaluation is vectorized over numpy point batches.
 sqrt at exactly 0 evaluates to value 0 with zero partials and raises a
 "subgradient at kink" diagnostic flag on the jet; this makes fields such as
 ``sqrt(x1^2+x2^2)*x1`` C^1 at the origin with the expected zero derivative.
+
+``interval`` is the natural interval extension over a batch of boxes.  numpy
+has no directed rounding, so every rounded endpoint is widened outward with
+``np.nextafter`` (by more than the error of each math function), so the
+bounds enclose every value of the expression on the box.
 """
 
 from __future__ import annotations
@@ -34,6 +39,53 @@ def _fmt(v: float) -> str:
 # AST
 # --------------------------------------------------------------------------
 
+def _outward(lo, hi, ulps=1):
+    """Widen [lo, hi] by ``ulps`` floats on each side; NaN (inf - inf,
+    0 * inf) widens to the whole line."""
+    lo = np.where(np.isnan(lo), -np.inf, lo)
+    hi = np.where(np.isnan(hi), np.inf, hi)
+    for _ in range(ulps):
+        lo = np.nextafter(lo, -np.inf)
+        hi = np.nextafter(hi, np.inf)
+    return lo, hi
+
+
+def _hull(*candidates):
+    """Outward-rounded [min, max] of candidate endpoint values."""
+    c = np.stack(candidates)
+    return _outward(np.min(c, axis=0), np.max(c, axis=0))
+
+
+# exp, sin, cos and integer powers are not correctly rounded; their error
+# is within a few ulps, and outward widening by this many covers it
+_LIBM_ULPS = 4
+# beyond this argument the period test below loses its resolution
+_TRIG_ARG_MAX = 1e6
+
+
+def _contains_phase(lo, hi, phase):
+    """Whether [lo, hi] may contain phase + 2 pi k for an integer k; errs
+    towards yes, which only loosens the bound."""
+    slack = 1e-9
+    first = np.ceil((lo - phase) / (2.0 * np.pi) - slack)
+    last = np.floor((hi - phase) / (2.0 * np.pi) + slack)
+    return first <= last
+
+
+def _trig_interval(f, lo, hi, top, bottom):
+    """Range of the 2 pi-periodic f (sin or cos) with maximum 1 at phase
+    ``top`` and minimum -1 at phase ``bottom``."""
+    with np.errstate(invalid="ignore"):
+        flo, fhi = f(lo), f(hi)
+        flo, fhi = _outward(np.minimum(flo, fhi), np.maximum(flo, fhi),
+                            _LIBM_ULPS)
+        wide = ~np.isfinite(lo) | ~np.isfinite(hi) | (hi - lo >= 2.0 * np.pi)
+        wide |= np.maximum(np.abs(lo), np.abs(hi)) > _TRIG_ARG_MAX
+        fhi = np.where(wide | _contains_phase(lo, hi, top), 1.0, fhi)
+        flo = np.where(wide | _contains_phase(lo, hi, bottom), -1.0, flo)
+    return np.maximum(flo, -1.0), np.minimum(fhi, 1.0)
+
+
 class Node:
     prec = _P_ATOM
 
@@ -41,6 +93,11 @@ class Node:
         raise NotImplementedError
 
     def jet(self, x, ctx):
+        raise NotImplementedError
+
+    def interval(self, lo, hi):
+        """Enclosure [l, u] of the values over boxes lo <= x <= hi, each
+        an (m, n) array; returns two (m,) arrays."""
         raise NotImplementedError
 
 
@@ -53,6 +110,10 @@ class Const(Node):
 
     def jet(self, x, ctx):
         return np.full(x.shape[:-1], self.v), np.zeros_like(x)
+
+    def interval(self, lo, hi):
+        v = np.full(lo.shape[:-1], self.v)
+        return v, v
 
     def __str__(self):
         return _fmt(self.v)
@@ -69,6 +130,9 @@ class Var(Node):
         g = np.zeros_like(x)
         g[..., self.i] = 1.0
         return x[..., self.i], g
+
+    def interval(self, lo, hi):
+        return lo[..., self.i], hi[..., self.i]
 
     def __str__(self):
         return f"x{self.i + 1}"
@@ -88,6 +152,11 @@ class Add(Node):
         vb, gb = self.b.jet(x, ctx)
         return va + vb, ga + gb
 
+    def interval(self, lo, hi):
+        alo, ahi = self.a.interval(lo, hi)
+        blo, bhi = self.b.interval(lo, hi)
+        return _outward(alo + blo, ahi + bhi)
+
 
 @dataclass(frozen=True)
 class Sub(Node):
@@ -103,6 +172,11 @@ class Sub(Node):
         vb, gb = self.b.jet(x, ctx)
         return va - vb, ga - gb
 
+    def interval(self, lo, hi):
+        alo, ahi = self.a.interval(lo, hi)
+        blo, bhi = self.b.interval(lo, hi)
+        return _outward(alo - bhi, ahi - blo)
+
 
 @dataclass(frozen=True)
 class Mul(Node):
@@ -117,6 +191,11 @@ class Mul(Node):
         va, ga = self.a.jet(x, ctx)
         vb, gb = self.b.jet(x, ctx)
         return va * vb, va[..., None] * gb + vb[..., None] * ga
+
+    def interval(self, lo, hi):
+        alo, ahi = self.a.interval(lo, hi)
+        blo, bhi = self.b.interval(lo, hi)
+        return _hull(alo * blo, alo * bhi, ahi * blo, ahi * bhi)
 
 
 @dataclass(frozen=True)
@@ -139,6 +218,16 @@ class Div(Node):
         v = va / vb
         return v, (ga - v[..., None] * gb) / vb[..., None]
 
+    def interval(self, lo, hi):
+        alo, ahi = self.a.interval(lo, hi)
+        blo, bhi = self.b.interval(lo, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qlo, qhi = _hull(alo / blo, alo / bhi, ahi / blo, ahi / bhi)
+        # a denominator interval that holds 0 leaves the quotient unbounded
+        spans_zero = (blo <= 0.0) & (bhi >= 0.0)
+        return (np.where(spans_zero, -np.inf, qlo),
+                np.where(spans_zero, np.inf, qhi))
+
 
 @dataclass(frozen=True)
 class Pow(Node):
@@ -155,6 +244,25 @@ class Pow(Node):
             return np.ones_like(va), np.zeros_like(ga)
         return va ** self.k, (self.k * va ** (self.k - 1))[..., None] * ga
 
+    def interval(self, lo, hi):
+        alo, ahi = self.a.interval(lo, hi)
+        if self.k == 0:
+            one = np.ones_like(alo)
+            return one, one
+        if self.k == 1:
+            return alo, ahi
+        # each endpoint's power, rounded both ways
+        lo_down, lo_up = _outward(alo ** self.k, alo ** self.k, _LIBM_ULPS)
+        hi_down, hi_up = _outward(ahi ** self.k, ahi ** self.k, _LIBM_ULPS)
+        if self.k % 2:
+            return lo_down, hi_up
+        # even powers fall towards 0 and have minimum 0 on an interval
+        # that holds it
+        low = np.where(alo > 0.0, lo_down, np.where(ahi < 0.0, hi_down, 0.0))
+        high = np.where(alo > 0.0, hi_up,
+                        np.where(ahi < 0.0, lo_up, np.maximum(lo_up, hi_up)))
+        return np.maximum(low, 0.0), high
+
 
 @dataclass(frozen=True)
 class Neg(Node):
@@ -167,6 +275,10 @@ class Neg(Node):
     def jet(self, x, ctx):
         va, ga = self.a.jet(x, ctx)
         return -va, -ga
+
+    def interval(self, lo, hi):
+        alo, ahi = self.a.interval(lo, hi)
+        return -ahi, -alo
 
 
 @dataclass(frozen=True)
@@ -206,6 +318,21 @@ class Fun(Node):
         safe = np.where(at_kink, 1.0, v)
         g = np.where(at_kink[..., None], 0.0, ga / (2.0 * safe[..., None]))
         return v, g
+
+    def interval(self, lo, hi):
+        alo, ahi = self.a.interval(lo, hi)
+        if self.name == "sin":
+            return _trig_interval(np.sin, alo, ahi, 0.5 * np.pi, -0.5 * np.pi)
+        if self.name == "cos":
+            return _trig_interval(np.cos, alo, ahi, 0.0, np.pi)
+        if self.name == "exp":
+            with np.errstate(over="ignore"):
+                elo, ehi = _outward(np.exp(alo), np.exp(ahi), _LIBM_ULPS)
+            return np.maximum(elo, 0.0), ehi
+        # sqrt: monotone; like val, a slightly negative argument reads 0
+        slo, shi = _outward(np.sqrt(np.maximum(alo, 0.0)),
+                            np.sqrt(np.maximum(ahi, 0.0)))
+        return np.maximum(slo, 0.0), shi
 
 
 # --------------------------------------------------------------------------
@@ -417,6 +544,11 @@ class Expression:
     def gradient(self, point) -> np.ndarray:
         return self.eval_jet(point).partials
 
+    def interval(self, lo, hi):
+        """Outward-rounded bounds (l, u) of the values over a batch of boxes
+        lo <= x <= hi, given as (m, n) arrays of corners."""
+        return self.root.interval(self._points(lo), self._points(hi))
+
 
 def parse(text: str, arity: int) -> Expression:
     """Parse ``text`` over variables x1..x{arity}; arity must be 1, 2 or 3."""
@@ -457,16 +589,3 @@ def _print(node, parent_prec=0):
     s = _print(node.a, prec) + sym + _print(node.b, prec + 1)
     return f"({s})" if parent_prec > prec else s
 
-
-def check_derivatives(e: Expression, point, step: float) -> float:
-    """Max abs discrepancy between central differences and the exact jet."""
-    x = np.asarray(point, dtype=float)
-    jet = e.eval_jet(x)
-    worst = 0.0
-    for i in range(e.arity):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += step
-        xm[i] -= step
-        fd = (e.evaluate(xp) - e.evaluate(xm)) / (2.0 * step)
-        worst = max(worst, abs(fd - jet.partials[i]))
-    return worst

@@ -11,6 +11,12 @@ Two concrete kinds are used throughout:
 
 All evaluation is batched: ``value`` maps an (m, n) array of points to an
 (m, n) array of vectors and ``jacobian`` to (m, n, n) matrices.
+
+``zero_free`` is the exclusion test of the interior zero search.  An
+expression field proves it with outward-rounded interval bounds of its
+components.  A callable has no expression to bound, so a callable field
+falls back to a sampled test: a cell counts as zero-free when the least
+sampled ||v|| beats (largest sampled ||Dv||) * diameter.
 """
 
 from __future__ import annotations
@@ -39,6 +45,11 @@ class VectorField:
 
     def norms(self, x):
         return np.linalg.norm(self.value(x), axis=-1)
+
+    def zero_free(self, lo, hi, paranoid=False):
+        """Boolean (m,) mask of the boxes lo <= x <= hi ((m, n) corner
+        arrays) on which the field has no zero."""
+        raise NotImplementedError
 
     def __neg__(self):
         return NegatedField(self)
@@ -69,6 +80,14 @@ class ExpressionField(VectorField):
         rows = [c.jets(x)[1] for c in self.components]
         return np.stack(rows, axis=-2)
 
+    def zero_free(self, lo, hi, paranoid=False):
+        """Proved: some component's interval bound excludes 0."""
+        free = np.zeros(len(lo), dtype=bool)
+        for c in self.components:
+            clo, chi = c.interval(lo, hi)
+            free |= (clo > 0.0) | (chi < 0.0)
+        return free
+
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
@@ -95,6 +114,23 @@ class CallableField(VectorField):
             cols.append((self.fn(x + dx) - self.fn(x - dx)) / (2.0 * h))
         return np.stack(cols, axis=-1)
 
+    def zero_free(self, lo, hi, paranoid=False):
+        """Sampled, not proved: 3 probes per axis (5 with ``paranoid``)."""
+        offsets = _probe_offsets(self.n, 5 if paranoid else 3)
+        m = len(lo)
+        pts = lo[:, None, :] + offsets[None, :, :] * (hi - lo)[:, None, :]
+        flat = pts.reshape(-1, self.n)
+        norms = self.norms(flat).reshape(m, -1)
+        jacs = self.jacobian(flat)
+        jnorm = np.sqrt(np.sum(jacs * jacs, axis=(-2, -1))).reshape(m, -1)
+        diam = np.linalg.norm(hi - lo, axis=-1)
+        return ~(norms.min(axis=1) - jnorm.max(axis=1) * diam <= 0.0)
+
+
+def _probe_offsets(n, per_axis):
+    fr = np.linspace(0.0, 1.0, per_axis)
+    return np.array(list(itertools.product(fr, repeat=n)))
+
 
 class NegatedField(VectorField):
     def __init__(self, base):
@@ -106,6 +142,9 @@ class NegatedField(VectorField):
 
     def jacobian(self, x):
         return -self.base.jacobian(x)
+
+    def zero_free(self, lo, hi, paranoid=False):
+        return self.base.zero_free(lo, hi, paranoid)
 
 
 # --------------------------------------------------------------------------

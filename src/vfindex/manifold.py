@@ -26,6 +26,8 @@ from .expr import Expression
 BOUNDARY_BAND = 1e-7
 COLLAR_BAND_FRACTION = 0.05
 GRAD_FLOOR = 1e-8
+# points per slab when a fine grid is evaluated slab by slab
+SLAB_POINTS = 65_536
 
 INWARD = "Inward"
 OUTWARD = "Outward"
@@ -57,17 +59,38 @@ def _face_points(bbox, per_axis=9):
     return np.vstack(pts)
 
 
-def grid_points(bbox, res_per_axis):
-    """Cell-center grid over the box; res may be an int or per-axis list."""
+def _grid_axes(bbox, res_per_axis):
     n = bbox.shape[0]
     if np.isscalar(res_per_axis):
         res = [int(res_per_axis)] * n
     else:
         res = [int(r) for r in res_per_axis]
-    axes = [bbox[i, 0] + (np.arange(res[i]) + 0.5) * (bbox[i, 1] - bbox[i, 0]) / res[i]
+    return [bbox[i, 0] + (np.arange(res[i]) + 0.5) * (bbox[i, 1] - bbox[i, 0]) / res[i]
             for i in range(n)]
+
+
+def _mesh(axes):
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def grid_points(bbox, res_per_axis):
+    """Cell-center grid over the box; res may be an int or per-axis list."""
+    return _mesh(_grid_axes(bbox, res_per_axis))
+
+
+def grid_slabs(bbox, res_per_axis):
+    """``grid_points`` in slabs of whole first-axis layers, in order.
+
+    Each slab holds at most ``SLAB_POINTS`` points (at least one layer), so
+    work on a fine grid needs memory for one slab only; the slabs
+    concatenate to exactly ``grid_points(bbox, res_per_axis)``.
+    """
+    axes = _grid_axes(bbox, res_per_axis)
+    layer = int(np.prod([len(a) for a in axes[1:]]))
+    step = max(1, SLAB_POINTS // layer)
+    for start in range(0, len(axes[0]), step):
+        yield _mesh([axes[0][start:start + step]] + axes[1:])
 
 
 @dataclass
@@ -341,12 +364,14 @@ def surface_samples(M, resolution=None, max_points=20000):
         return interval_endpoints(M).reshape(-1, 1)
     if resolution is None:
         resolution = 192 if M.n == 2 else 40
-    pts = grid_points(M.bbox, resolution)
-    vals, grads = M.g.jets(pts)
     pitch = float(np.max(M.bbox[:, 1] - M.bbox[:, 0])) / resolution
-    gnorm = np.linalg.norm(grads, axis=-1)
-    near = np.abs(vals) <= 1.2 * pitch * np.maximum(gnorm, GRAD_FLOOR)
-    seeds = pts[near]
+    seeds = []
+    for pts in grid_slabs(M.bbox, resolution):
+        vals, grads = M.g.jets(pts)
+        gnorm = np.linalg.norm(grads, axis=-1)
+        near = np.abs(vals) <= 1.2 * pitch * np.maximum(gnorm, GRAD_FLOOR)
+        seeds.append(pts[near])
+    seeds = np.concatenate(seeds)
     if len(seeds) > max_points:
         idx = np.linspace(0, len(seeds) - 1, max_points).astype(int)
         seeds = seeds[idx]

@@ -1,11 +1,12 @@
 """Zero isolation: interior zeros of a field, tangential zeros on the boundary.
 
-Interior search is breadth-first bisection of the bounding box with an
-exclusion bound (a cell survives only while min sampled ||v|| could still be
-beaten by (max sampled ||Dv||) * diameter), followed by batched Newton
-polishing of the surviving cell centers.  The bound uses sampled Jacobian
-norms, not certified Lipschitz constants; paranoid mode doubles depth and
-probe density.
+Interior search is breadth-first bisection of the bounding box, followed by
+batched Newton polishing of the surviving cell centers.  A cell is dropped
+when the interval bound of g is positive on it (it lies outside the domain)
+or when ``v.zero_free`` holds on it.  For expression fields that test is an
+outward-rounded interval bound, so a cell is dropped only on proof; only a
+``CallableField`` falls back to sampled norms and Jacobian norms.  Paranoid
+mode doubles the depth, and the probe density of the sampled test.
 
 Boundary search projects a dense grid band onto {g = 0}, polishes every
 sample with Newton on the augmented system {g = 0, kept components of the
@@ -15,13 +16,12 @@ component.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ResolutionExhausted, SuspectedNonIsolatedZero,
-                     NotTame, ZeroOnBoundary)
+from .errors import (NoConvergence, ResolutionExhausted,
+                     SuspectedNonIsolatedZero, NotTame, ZeroOnBoundary)
 from .manifold import (BOUNDARY_BAND, INWARD, OUTWARD, TANGENT,
                        boundary_chart, decompose_batch, inwardness,
                        surface_samples, interval_endpoints)
@@ -85,11 +85,6 @@ def tangential_at(M, collar, v, x):
 # Interior zeros
 # --------------------------------------------------------------------------
 
-def _probe_offsets(n, per_axis):
-    fr = np.linspace(0.0, 1.0, per_axis)
-    return np.array(list(itertools.product(fr, repeat=n)))
-
-
 def _newton_polish(v, x0, max_iter=90, step_cap=None):
     x = np.array(x0, dtype=float)
     for _ in range(max_iter):
@@ -120,11 +115,8 @@ def _dedup(points, radius=DEDUP_RADIUS):
 
 def find_interior_zeros(M, v, depth=9, paranoid=False):
     """Isolated zeros of v in the interior of {g <= 0}."""
-    n = M.n
-    per_axis = 5 if paranoid else 3
     if paranoid:
         depth *= 2
-    offsets = _probe_offsets(n, per_axis)
     lo = M.bbox[:, 0][None, :].copy()
     hi = M.bbox[:, 1][None, :].copy()
     target = (M.bbox[:, 1] - M.bbox[:, 0]) / 2.0 ** depth
@@ -133,15 +125,10 @@ def find_interior_zeros(M, v, depth=9, paranoid=False):
         pending = np.any(size > target[None, :] * 1.0000001, axis=-1)
         if not np.any(pending):
             break
-        # exclusion bound on the cells still to be refined
-        m = len(lo)
-        pts = (lo[:, None, :] + offsets[None, :, :] * (hi - lo)[:, None, :])
-        flat = pts.reshape(-1, n)
-        norms = v.norms(flat).reshape(m, -1)
-        jacs = v.jacobian(flat)
-        jnorm = np.sqrt(np.sum(jacs * jacs, axis=(-2, -1))).reshape(m, -1)
-        diam = np.linalg.norm(hi - lo, axis=-1)
-        keep = norms.min(axis=1) - jnorm.max(axis=1) * diam <= 0.0
+        # exclusion on the cells still to be refined: outside the domain,
+        # or free of zeros of v
+        outside = M.g.interval(lo, hi)[0] > 0.0
+        keep = ~(outside | v.zero_free(lo, hi, paranoid))
         keep |= ~pending  # fully refined cells are kept for polishing as-is
         lo, hi = lo[keep], hi[keep]
         pending = pending[keep]
@@ -359,7 +346,7 @@ def _isolation_radius_boundary(M, collar, v, chart, z, all_zeros):
             try:
                 if np.min(np.linalg.norm(f(r * ring), axis=-1)) > ISOLATION_FLOOR:
                     return r
-            except Exception:
+            except NoConvergence:
                 pass
         r *= 0.5
     raise ResolutionExhausted(f"no boundary isolation radius at {z}")
@@ -387,7 +374,3 @@ def _endpoint_records(M, collar, v):
     records.sort(key=lambda rec: tuple(rec.position))
     return records
 
-
-def check_transverse(record: ZeroRecord, v) -> bool:
-    """0-transversality: nonsingular linearization in the relevant coordinates."""
-    return abs(record.jacobian_det) > 1e-8

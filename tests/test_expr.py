@@ -100,3 +100,82 @@ def test_pow_requires_integer_exponent():
         ex.parse("x1^x2", 2)
     with pytest.raises(ExprSyntaxError):
         ex.parse("x1^(-2)", 1)
+
+
+def _box_samples(rng, lo, hi, count):
+    """The corners of each box and ``count`` uniform points inside it."""
+    n = lo.shape[-1]
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * n, indexing="ij"))
+    t = np.concatenate([corners.reshape(n, -1).T,
+                        rng.uniform(size=(count, n))])
+    return lo[:, None, :] + t[None, :, :] * (hi - lo)[:, None, :]
+
+
+@pytest.mark.parametrize("text, arity, center, width", [
+    ("-2.5", 1, 2.0, 1.0),                      # Const
+    ("x2", 2, 2.0, 1.0),                        # Var
+    ("x1 + x2", 2, 2.0, 1.0),
+    ("x1 - x2", 2, 2.0, 1.0),
+    ("x1*x2", 2, 2.0, 2.0),
+    ("-x1", 1, 2.0, 1.0),
+    ("x1/x2", 2, 2.0, 2.0),                     # denominators across 0
+    ("x1/(x2^2 + 1)", 2, 2.0, 2.0),
+    ("x1^0", 1, 2.0, 1.0),
+    ("x1^1", 1, 2.0, 1.0),
+    ("x1^2", 1, 1.0, 2.0),                      # even, across 0
+    ("(x1 - 3)^4", 1, 1.0, 2.0),                # even, below 0
+    ("x1^3", 1, 1.0, 2.0),                      # odd
+    ("exp(x1)", 1, 3.0, 2.0),
+    ("sqrt(x1^2 + x2^2)", 2, 1.0, 2.0),         # sqrt touching 0
+    ("sin(x1)", 1, 4.0, 3.0),                   # across extrema
+    ("cos(x1)", 1, 4.0, 3.0),
+    ("sin(x1)", 1, 20.0, 9.0),                  # width above 2 pi
+    ("cos(x1*x2)", 2, 4.0, 8.0),
+    ("sin(x1*x2) + x3^3 - exp(x2)/2 + sqrt(x1^2 + 4)", 3, 1.5, 1.0),
+])
+def test_interval_encloses_sampled_values(text, arity, center, width):
+    rng = np.random.default_rng(11)
+    e = ex.parse(text, arity)
+    lo = rng.uniform(-center, center, size=(200, arity))
+    hi = lo + rng.uniform(0.0, width, size=(200, arity))
+    ilo, ihi = e.interval(lo, hi)
+    assert ilo.shape == ihi.shape == (200,)
+    pts = _box_samples(rng, lo, hi, 40)
+    with np.errstate(divide="ignore"):
+        vals = e.root.val(pts.reshape(-1, arity)).reshape(200, -1)
+    assert np.all(ilo[:, None] <= vals)
+    assert np.all(vals <= ihi[:, None])
+
+
+def test_interval_sqrt_of_box_touching_zero():
+    e = ex.parse("sqrt(x1)", 1)
+    lo, hi = np.array([[0.0], [0.0]]), np.array([[4.0], [1e-300]])
+    ilo, ihi = e.interval(lo, hi)
+    assert np.all(ilo == 0.0)
+    assert ihi[0] >= 2.0 and ihi[1] >= np.sqrt(1e-300)
+
+
+def test_interval_special_cases():
+    box = (np.array([[-1.0, -2.0]]), np.array([[3.0, 0.5]]))
+    assert ex.parse("x1^2", 2).interval(*box)[0][0] == 0.0
+    assert ex.parse("x1^2", 2).interval(*box)[1][0] >= 9.0
+    assert ex.parse("x2^3", 2).interval(*box)[0][0] <= -8.0
+    assert [b[0] for b in ex.parse("x1^0", 2).interval(*box)] == [1.0, 1.0]
+    # a denominator interval that holds 0 leaves the quotient unbounded
+    qlo, qhi = ex.parse("1/x2", 2).interval(*box)
+    assert qlo[0] == -np.inf and qhi[0] == np.inf
+    # sin reaches its maximum at pi/2 inside [-1, 3]
+    assert ex.parse("sin(x1)", 2).interval(*box)[1][0] == 1.0
+    wide = (np.array([[0.0]]), np.array([[7.0]]))
+    assert [b[0] for b in ex.parse("cos(x1)", 1).interval(*wide)] == [-1.0, 1.0]
+
+
+def test_interval_is_outward_rounded():
+    # 0.1 + 0.2 is inexact in binary: the bound must straddle the sum
+    e = ex.parse("x1 + x2", 2)
+    p = np.array([[0.1, 0.2]])
+    lo, hi = e.interval(p, p)
+    assert lo[0] < 0.1 + 0.2 < hi[0]
+    # a point box of an exact expression stays tight up to a few ulps
+    lo, hi = ex.parse("x1*x2 - 1", 2).interval(p, p)
+    assert hi[0] - lo[0] < 1e-15

@@ -111,3 +111,18 @@ def test_hypersurface_validation():
     with pytest.raises(VfError):
         mf.Hypersurface(parse("x1^2 + x2^2 + x3^2 - 4", 3), 3,
                         [[-1.5, 1.5]] * 3)
+
+
+@pytest.mark.parametrize("n, res, max_points, slabs", [
+    (3, [7, 5, 3], 30, 4),     # two layers per slab
+    (3, [7, 5, 3], 1, 7),      # a slab holds at least one layer
+    (2, 9, 20, 5),
+    (1, 6, 4, 2),
+])
+def test_grid_slabs_concatenate_to_grid_points(monkeypatch, n, res,
+                                               max_points, slabs):
+    monkeypatch.setattr(mf, "SLAB_POINTS", max_points)
+    bbox = np.array([[-1.5, 2.0], [0.0, 1.0], [-3.0, -2.5]])[:n]
+    parts = list(mf.grid_slabs(bbox, res))
+    assert len(parts) == slabs
+    assert np.array_equal(np.concatenate(parts), mf.grid_points(bbox, res))

@@ -127,3 +127,37 @@ def test_interior_degree_sum_matches_boundary_winding():
         assert total == winding
         checked += 1
     assert checked >= 6
+
+
+def test_interior_zero_outside_domain_is_pruned(monkeypatch):
+    # the only zero, (1.3, 0), lies in the bbox but outside the unit disk;
+    # g's interval bound drops every cell around it, so nothing is polished
+    def no_polish(*args, **kwargs):
+        raise AssertionError("a cell outside the domain survived")
+
+    monkeypatch.setattr(zf, "_newton_polish", no_polish)
+    v = ExpressionField.parse(["x1 - 1.3", "x2"])
+    assert zf.find_interior_zeros(disk(), v) == []
+
+
+def test_zero_free_is_proved_for_expression_fields():
+    v = ExpressionField.parse(["x1", "0 - x2"])
+    lo = np.array([[-0.5, -0.5], [0.5, -1.0], [-1e-9, 0.0]])
+    hi = np.array([[0.5, 0.5], [1.0, 1.0], [0.0, 1.0]])
+    # only the middle box misses the zero at the origin
+    assert v.zero_free(lo, hi).tolist() == [False, True, False]
+    assert (-v).zero_free(lo, hi).tolist() == [False, True, False]
+
+
+def test_interval_and_sampled_exclusion_agree():
+    """The sampled test of a CallableField finds the same zeros."""
+    rng = np.random.default_rng(3)
+    M = disk(2.0, name="")
+    for _ in range(4):
+        v = random_polynomial_field(rng, 2, 2)
+        exact = zf.find_interior_zeros(M, v)
+        sampled = zf.find_interior_zeros(
+            M, CallableField(2, v.value, v.jacobian))
+        assert len(exact) == len(sampled)
+        for a, b in zip(exact, sampled):
+            assert a.position == pytest.approx(b.position, abs=1e-9)
