@@ -229,6 +229,18 @@ class Div(Node):
                 np.where(spans_zero, np.inf, qhi))
 
 
+def _int_power(a, k):
+    """a ** k for an integer k >= 0 by repeated multiplication, which is
+    several times faster than libm's pow for the small literal exponents
+    of the grammar."""
+    if k == 0:
+        return np.ones_like(a)
+    out = a
+    for _ in range(k - 1):
+        out = out * a
+    return out
+
+
 @dataclass(frozen=True)
 class Pow(Node):
     a: Node
@@ -236,13 +248,14 @@ class Pow(Node):
     prec = _P_POW
 
     def val(self, x):
-        return self.a.val(x) ** self.k
+        return _int_power(self.a.val(x), self.k)
 
     def jet(self, x, ctx):
         va, ga = self.a.jet(x, ctx)
         if self.k == 0:
             return np.ones_like(va), np.zeros_like(ga)
-        return va ** self.k, (self.k * va ** (self.k - 1))[..., None] * ga
+        below = _int_power(va, self.k - 1)
+        return below * va, (self.k * below)[..., None] * ga
 
     def interval(self, lo, hi):
         alo, ahi = self.a.interval(lo, hi)

@@ -229,38 +229,50 @@ def full_index(M, collar, v, crosscheck=True, auto_tame=False, seed=0,
     refuses to return a report that fails it.  ``auto_tame`` perturbs the
     field within the collar when it is not tame (a zero on the boundary, or a
     tangential zero with vanishing transverse part) and reports the applied
-    perturbations.
+    perturbations; the boundary census that decided the returned field is
+    tame is then the one the index is built from, not searched again.
+    ``resolution`` is the boundary sampling resolution of that census.
     """
+    if not auto_tame:
+        return _index_report(M, collar, v, None, crosscheck, paranoid, depth,
+                             resolution)
+    from .verify import _tame
+    v, log, census = _tame(M, collar, v, seed=seed, resolution=resolution)
+    return _index_report(M, collar, v, census, crosscheck, paranoid, depth,
+                         perturbations=log)
+
+
+def _index_report(M, collar, v, census, crosscheck=True, paranoid=False,
+                  depth=9, resolution=None, perturbations=()):
+    """full_index's report for v given its boundary census: a list of
+    ZeroRecords, the NotTame of the uniform transverse case, or None to
+    search the boundary (at ``resolution``) after the interior."""
     chi = chi_for(M)
     chi_b = chi_boundary_for(M)
     expected = chi if M.n % 2 == 0 else 0
-    perturbation_log = []
-    if auto_tame:
-        from .verify import make_tame
-        v, perturbation_log = make_tame(M, collar, v, seed=seed)
     interior = find_interior_zeros(M, v, depth=depth, paranoid=paranoid)
     int_indices = [interior_index(M, v, rec) for rec in interior]
     ind_interior = int(sum(int_indices))
+    if census is None:
+        try:
+            census = find_boundary_tangential_zeros(M, collar, v,
+                                                    resolution=resolution)
+        except NotTame as exc:
+            if exc.uniform_sign is None:
+                raise
+            census = exc
     special = None
-    try:
-        boundary_records = find_boundary_tangential_zeros(M, collar, v,
-                                                          resolution=resolution)
-    except NotTame as exc:
-        if exc.uniform_sign == INWARD:
-            special = INWARD
-            contributions = []
+    contributions = []
+    if isinstance(census, NotTame):
+        special = census.uniform_sign
+        if special == INWARD:
             morse_minus, morse_plus = chi_b, 0
             ind_boundary = HalfInteger.halves(chi_b)
-        elif exc.uniform_sign == OUTWARD:
-            special = OUTWARD
-            contributions = []
+        else:
             morse_minus, morse_plus = 0, chi_b
             ind_boundary = HalfInteger.halves(-chi_b)
-        else:
-            raise
     else:
-        contributions = []
-        for rec in boundary_records:
+        for rec in census:
             k = boundary_tangential_degree(M, collar, v, rec)
             contributions.append(
                 BoundaryContribution(rec, k, boundary_zero_index(rec, k)))
@@ -283,7 +295,7 @@ def full_index(M, collar, v, crosscheck=True, auto_tame=False, seed=0,
         expected_total=expected,
         theorem_holds=(total == HalfInteger.of(expected)),
         special_boundary=special,
-        perturbations=perturbation_log)
+        perturbations=list(perturbations))
 
 
 def hypersurface_index(S, collar, v):

@@ -11,6 +11,11 @@ boundary (a smooth bump of the approximate boundary distance):
   tangential behavior without touching the transverse component;
 * ``random_linear_jiggle`` adds a small affine field as a last resort.
 
+The tameness check searches the boundary for tangential zeros; the census
+it takes of the field ``make_tame`` returns is the one that
+``full_index(auto_tame=True)`` and ``invariance_verdict`` build the index
+from, so each auto-tamed index takes one boundary search.
+
 The verdicts below each test one consequence of the boundary index theorem
 and report pass/fail together with the numbers involved.
 """
@@ -24,7 +29,7 @@ import numpy as np
 from .degree import SphereMap, degree_for
 from .errors import CannotTame, NotTame, ZeroOnBoundary
 from .fields import CallableField
-from .indices import HalfInteger, full_index
+from .indices import HalfInteger, _index_report, full_index
 from .manifold import (GRAD_FLOOR, TANGENT, Collar, collar_bump,
                        surface_samples)
 from .zerofind import find_boundary_tangential_zeros
@@ -115,18 +120,28 @@ def random_linear_jiggle(M, v, rng, eps):
 # Tameness
 # --------------------------------------------------------------------------
 
+def _tameness(M, collar, v, resolution=None):
+    """tameness_status with the boundary census behind it: the ZeroRecords
+    when 'tame', the NotTame of the uniform transverse case when 'special',
+    and None otherwise."""
+    try:
+        records = find_boundary_tangential_zeros(M, collar, v,
+                                                 resolution=resolution)
+    except ZeroOnBoundary:
+        return "zero_on_boundary", None
+    except NotTame as exc:
+        if exc.uniform_sign is None:
+            return "mixed_tangent", None
+        return "special", exc
+    if any(r.transverse_sign == TANGENT for r in records):
+        return "tangent_zero", None
+    return "tame", records
+
+
 def tameness_status(M, collar, v):
     """'tame', 'special' (tangential part vanishes with a uniform transverse
     sign, handled exactly downstream), or the reason the field is not tame."""
-    try:
-        records = find_boundary_tangential_zeros(M, collar, v)
-    except ZeroOnBoundary:
-        return "zero_on_boundary"
-    except NotTame as exc:
-        return "special" if exc.uniform_sign is not None else "mixed_tangent"
-    if any(r.transverse_sign == TANGENT for r in records):
-        return "tangent_zero"
-    return "tame"
+    return _tameness(M, collar, v)[0]
 
 
 def make_tame(M, collar, v, seed=0, always_perturb=False, eps=1e-2):
@@ -136,9 +151,17 @@ def make_tame(M, collar, v, seed=0, always_perturb=False, eps=1e-2):
     under the exact uniform-transverse special case (unless
     ``always_perturb`` forces a collar blend, as the invariance trials do).
     """
-    status = tameness_status(M, collar, v)
+    v, log, _ = _tame(M, collar, v, seed, always_perturb, eps)
+    return v, log
+
+
+def _tame(M, collar, v, seed=0, always_perturb=False, eps=1e-2,
+          resolution=None):
+    """make_tame, also returning the boundary census (see ``_tameness``) of
+    the returned field, taken at ``resolution`` by its tameness check."""
+    status, census = _tameness(M, collar, v, resolution)
     if status in ("tame", "special") and not always_perturb:
-        return v, []
+        return v, [], census
     rng = np.random.default_rng(seed)
     log = []
     current = v
@@ -150,10 +173,10 @@ def make_tame(M, collar, v, seed=0, always_perturb=False, eps=1e-2):
             candidate, entry = random_linear_jiggle(M, current, rng, scale)
         else:
             candidate, entry = collar_blend(M, collar, current, rng, scale)
-        got = tameness_status(M, collar, candidate)
+        got, census = _tameness(M, collar, candidate, resolution)
         if got == "tame":
             log.append(entry)
-            return candidate, log
+            return candidate, log, census
         if got != status and got != "special":
             # partial progress: keep the perturbation and fix the new defect
             log.append(entry)
@@ -259,10 +282,9 @@ def invariance_verdict(M, collar, v, trials=5, seed=0):
     """Fresh collar perturbations never change the boundary index."""
     values = []
     for t in range(trials):
-        vt, _ = make_tame(M, collar, v, seed=seed + 1000 * (t + 1),
-                          always_perturb=True)
-        rep = full_index(M, collar, vt)
-        values.append(rep.boundary_index)
+        vt, _, census = _tame(M, collar, v, seed=seed + 1000 * (t + 1),
+                              always_perturb=True)
+        values.append(_index_report(M, collar, vt, census).boundary_index)
     ok = all(val == values[0] for val in values)
     return Verdict(
         "boundary index is invariant under collar perturbations",

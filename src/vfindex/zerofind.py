@@ -8,10 +8,11 @@ outward-rounded interval bound, so a cell is dropped only on proof; only a
 ``CallableField`` falls back to sampled norms and Jacobian norms.  Paranoid
 mode doubles the depth, and the probe density of the sampled test.
 
-Boundary search projects a dense grid band onto {g = 0}, polishes every
+Boundary search projects a dense grid band onto {g = 0}, polishes each
 sample with Newton on the augmented system {g = 0, kept components of the
-tangential part = 0}, and classifies each zero by the sign of the transverse
-component.
+tangential part = 0} until its own step settles, and classifies each zero by
+the sign of the transverse component.  Interior polishing likewise stops
+each point on its own settled step.
 """
 
 from __future__ import annotations
@@ -87,9 +88,11 @@ def tangential_at(M, collar, v, x):
 
 def _newton_polish(v, x0, max_iter=90, step_cap=None):
     x = np.array(x0, dtype=float)
+    moving = np.arange(len(x))
     for _ in range(max_iter):
-        val = v.value(x)
-        jac = v.jacobian(x)
+        xm = x[moving]
+        val = v.value(xm)
+        jac = v.jacobian(xm)
         dets = np.abs(np.linalg.det(jac))
         ok = dets > 1e-300
         step = np.zeros_like(val)
@@ -97,19 +100,26 @@ def _newton_polish(v, x0, max_iter=90, step_cap=None):
         if step_cap is not None:
             norms = np.linalg.norm(step, axis=-1, keepdims=True)
             step *= np.minimum(1.0, step_cap / np.maximum(norms, 1e-300))
-        x = x - step
+        x[moving] = xm - step
         # linear-rate convergence at degenerate zeros needs the full budget,
-        # so stop on settled steps rather than small residuals
-        if np.max(np.linalg.norm(step, axis=-1)) < 1e-14:
+        # so a point stops on its own settled step rather than a small
+        # residual
+        moving = moving[np.linalg.norm(step, axis=-1) >= 1e-14]
+        if len(moving) == 0:
             break
     return x
 
 
 def _dedup(points, radius=DEDUP_RADIUS):
+    """Greedy representatives, in order: a point is kept unless an earlier
+    kept point lies within ``radius`` of it."""
+    rest = np.asarray(points, dtype=float)
     reps = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) < radius for q in reps):
-            reps.append(p)
+    while len(rest):
+        # a copy, so that records do not keep the whole batch alive
+        reps.append(rest[0].copy())
+        rest = rest[1:]
+        rest = rest[~(np.linalg.norm(rest - reps[-1], axis=-1) < radius)]
     return reps
 
 
@@ -157,7 +167,7 @@ def find_interior_zeros(M, v, depth=9, paranoid=False):
     res = v.norms(polished)
     inside = np.all((polished >= M.bbox[:, 0]) & (polished <= M.bbox[:, 1]), axis=-1)
     converged = polished[(res < ZERO_NORM_TOL * 1e-2) & inside]
-    zeros = _dedup([np.array(t) for t in sorted(map(tuple, converged))])
+    zeros = _dedup(sorted(map(tuple, converged)))
     for z in zeros:
         nearby = sum(1 for w in zeros if np.linalg.norm(z - w) < CLUSTER_RADIUS)
         if nearby > 8:
@@ -227,7 +237,7 @@ def find_boundary_tangential_zeros(M, collar, v, resolution=None,
     order = np.argsort(par_norm)
     seeds = pts[order[:max_seeds]]
     converged = _polish_boundary(M, collar, v, seeds, scale)
-    zeros = _dedup([np.array(t) for t in sorted(map(tuple, converged))])
+    zeros = _dedup(sorted(map(tuple, converged)))
     for z in zeros:
         nearby = sum(1 for w in zeros if np.linalg.norm(z - w) < CLUSTER_RADIUS)
         if nearby > 8:
@@ -265,13 +275,16 @@ def _polish_boundary(M, collar, v, seeds, scale, max_iter=35):
             v_par, _ = decompose_batch(collar, xv, gg, vv)
             return np.concatenate([gv[:, None], v_par[:, kept]], axis=-1)
 
+        # a seed is frozen once its own (uncapped) step settles
+        moving = np.arange(len(x))
         for _ in range(max_iter):
-            f0 = system(x)
+            xm = x[moving]
+            f0 = system(xm)
             cols = []
             for i in range(n):
                 dx = np.zeros(n)
                 dx[i] = h
-                cols.append((system(x + dx) - system(x - dx)) / (2 * h))
+                cols.append((system(xm + dx) - system(xm - dx)) / (2 * h))
             jac = np.stack(cols, axis=-1)
             dets = np.abs(np.linalg.det(jac))
             ok = dets > 1e-300
@@ -279,8 +292,9 @@ def _polish_boundary(M, collar, v, seeds, scale, max_iter=35):
             step[ok] = np.linalg.solve(jac[ok], f0[ok][..., None])[..., 0]
             norms = np.linalg.norm(step, axis=-1, keepdims=True)
             step *= np.minimum(1.0, cap / np.maximum(norms, 1e-300))
-            x = x - step
-            if np.max(norms) < 1e-14:
+            x[moving] = xm - step
+            moving = moving[norms[:, 0] >= 1e-14]
+            if len(moving) == 0:
                 break
         # accept on the full tangential norm, not just the kept components:
         # a seed polished under the wrong dropped axis can zero its kept

@@ -102,6 +102,20 @@ def test_pow_requires_integer_exponent():
         ex.parse("x1^(-2)", 1)
 
 
+@pytest.mark.parametrize("k", range(7))
+def test_integer_powers_match_libm(k):
+    x = np.array([-3.7, -1.0, -0.3, -0.0, 0.0, 1e-3, 0.5, 1.0, 2.0, 11.3,
+                  -123.456, 1e20])
+    e = ex.parse(f"x1^{k}", 1)
+    want = x ** k
+    assert np.all(np.abs(e.values(x[:, None]) - want)
+                  <= 4 * np.spacing(np.abs(want)))
+    v, g = e.jets(x[:, None])
+    assert np.all(np.abs(v - want) <= 4 * np.spacing(np.abs(want)))
+    dwant = k * x ** (k - 1) if k else np.zeros_like(x)
+    assert np.all(np.abs(g[:, 0] - dwant) <= 4 * np.spacing(np.abs(dwant)))
+
+
 def _box_samples(rng, lo, hi, count):
     """The corners of each box and ``count`` uniform points inside it."""
     n = lo.shape[-1]

@@ -3,9 +3,11 @@ import pytest
 
 from vfindex.expr import parse
 from vfindex.fields import ExpressionField, random_polynomial_field
+from vfindex import indices
 from vfindex.indices import full_index
 from vfindex.manifold import Collar, DomainManifold
 from vfindex import verify as vf
+from vfindex.zerofind import find_boundary_tangential_zeros
 
 COLLAR = Collar("neg_g")
 
@@ -47,6 +49,61 @@ def test_make_tame_repairs_boundary_zero():
     # the repaired field has the same total index
     rep = full_index(M, COLLAR, out)
     assert rep.theorem_holds
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The resolution of every boundary search made through verify or
+    indices."""
+    calls = []
+
+    def counting(M, collar, v, resolution=None, **kwargs):
+        calls.append(resolution)
+        return find_boundary_tangential_zeros(M, collar, v,
+                                              resolution=resolution, **kwargs)
+
+    for mod in (vf, indices):
+        monkeypatch.setattr(mod, "find_boundary_tangential_zeros", counting)
+    return calls
+
+
+def test_auto_tame_searches_the_boundary_once(searches):
+    rep = full_index(disk(), COLLAR, ExpressionField.parse(["1", "0"]),
+                     auto_tame=True)
+    assert searches == [None]
+    assert str(rep.boundary_index) == "1"
+
+
+def test_auto_tame_reports_the_census_of_the_tamed_field(searches):
+    M = disk()
+    v = ExpressionField.parse(["x1 - 1", "x2"])
+    rep = full_index(M, COLLAR, v, auto_tame=True, seed=1)
+    assert rep.perturbations and rep.theorem_holds
+    tamed, log = vf.make_tame(M, COLLAR, v, seed=1)
+    assert log == rep.perturbations
+    fresh = find_boundary_tangential_zeros(M, COLLAR, tamed)
+    assert len(rep.boundary) == len(fresh) > 0
+    for b, rec in zip(rep.boundary, fresh):
+        assert np.array_equal(b.record.position, rec.position)
+        assert b.record.transverse_sign == rec.transverse_sign
+
+
+def test_auto_tame_keeps_the_special_case(searches):
+    v = ExpressionField.parse(["x1", "x2"])
+    plain = full_index(disk(), COLLAR, v)
+    searches.clear()
+    rep = full_index(disk(), COLLAR, v, auto_tame=True)
+    assert searches == [None]
+    assert rep.special_boundary == plain.special_boundary == "Outward"
+    assert rep.boundary_index == plain.boundary_index
+    assert rep.perturbations == []
+
+
+def test_auto_tame_census_uses_the_requested_resolution(searches):
+    rep = full_index(disk(), COLLAR, ExpressionField.parse(["1", "0"]),
+                     auto_tame=True, resolution=96)
+    assert searches == [96]
+    assert str(rep.boundary_index) == "1"
 
 
 def test_collar_blend_preserves_radial_outwardness():
@@ -104,6 +161,13 @@ def test_perturbation_invariance():
                                     trials=3)
     assert verdict.passed
     assert verdict.details["values"] == ["1", "1", "1"]
+
+
+def test_invariance_trials_reuse_the_tameness_census(searches):
+    vf.invariance_verdict(disk(), COLLAR, ExpressionField.parse(["1", "0"]),
+                          trials=3)
+    # per trial: the input's status, then the accepted collar blend's census
+    assert len(searches) == 6
 
 
 def test_morse_verdict_random_fields():

@@ -51,6 +51,31 @@ def test_interior_degenerate_zero():
     assert np.linalg.norm(recs[0].position) < 1e-6
 
 
+def _greedy_dedup(points, radius):
+    reps = []
+    for p in points:
+        if not any(np.linalg.norm(p - q) < radius for q in reps):
+            reps.append(p)
+    return reps
+
+
+def test_dedup_keeps_the_greedy_representatives():
+    rng = np.random.default_rng(7)
+    radius = zf.DEDUP_RADIUS
+    for case in range(60):
+        n = 2 + case % 2
+        centers = rng.uniform(-1.0, 1.0, size=(rng.integers(1, 6), n))
+        # members spread over about two radii, so clusters chain and split
+        members = [c + rng.normal(scale=radius, size=(rng.integers(1, 30), n))
+                   for c in centers]
+        pts = sorted(map(tuple, np.concatenate(members)))
+        got = zf._dedup(pts, radius)
+        want = _greedy_dedup([np.array(p) for p in pts], radius)
+        assert len(got) == len(want) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert zf._dedup([]) == []
+
+
 def test_no_interior_zeros():
     M = disk()
     v = ExpressionField.parse(["1", "0"])
