@@ -38,4 +38,6 @@ print(f"ind_interior = {rep.interior_index}   "
 
 print()
 print(invariance_verdict(disk, collar, v, trials=5).line())
-print(collar_independence_verdict(disk, v)[0].line())
+reports = {kind: full_index(disk, Collar(kind), v, auto_tame=True)
+           for kind in ("neg_g", "scaled")}
+print(collar_independence_verdict(reports).line())

@@ -233,26 +233,32 @@ def full_index(M, collar, v, crosscheck=True, auto_tame=False, seed=0,
     tame is then the one the index is built from, not searched again.
     ``resolution`` is the boundary sampling resolution of that census.
     """
-    if not auto_tame:
-        return _index_report(M, collar, v, None, crosscheck, paranoid, depth,
-                             resolution)
-    from .verify import _tame
-    v, log, census = _tame(M, collar, v, seed=seed, resolution=resolution)
-    return _index_report(M, collar, v, census, crosscheck, paranoid, depth,
-                         perturbations=log)
-
-
-def _index_report(M, collar, v, census, crosscheck=True, paranoid=False,
-                  depth=9, resolution=None, perturbations=()):
-    """full_index's report for v given its boundary census: a list of
-    ZeroRecords, the NotTame of the uniform transverse case, or None to
-    search the boundary (at ``resolution``) after the interior."""
+    census, log = None, []
+    if auto_tame:
+        from .verify import _tame
+        v, log, census = _tame(M, collar, v, seed=seed, resolution=resolution)
     chi = chi_for(M)
     chi_b = chi_boundary_for(M)
     expected = chi if M.n % 2 == 0 else 0
     interior = find_interior_zeros(M, v, depth=depth, paranoid=paranoid)
     int_indices = [interior_index(M, v, rec) for rec in interior]
     ind_interior = int(sum(int_indices))
+    part = _boundary_part(M, collar, v, census, chi_b, crosscheck, resolution)
+    total = part["boundary_index"] + ind_interior
+    return IndexReport(
+        shape=M.name, n=M.n, interior_zeros=interior,
+        interior_indices=int_indices, interior_index=ind_interior,
+        total_index=total, chi=chi, chi_boundary=chi_b,
+        expected_total=expected, perturbations=log,
+        theorem_holds=(total == HalfInteger.of(expected)), **part)
+
+
+def _boundary_part(M, collar, v, census, chi_b, crosscheck=True,
+                   resolution=None):
+    """The boundary fields of full_index's report for v, as a dict keyed by
+    IndexReport field.  ``census`` is v's boundary census: a list of
+    ZeroRecords, the NotTame of the uniform transverse case, or None to
+    search the boundary (at ``resolution``) here."""
     if census is None:
         try:
             census = find_boundary_tangential_zeros(M, collar, v,
@@ -261,41 +267,29 @@ def _index_report(M, collar, v, census, crosscheck=True, paranoid=False,
             if exc.uniform_sign is None:
                 raise
             census = exc
-    special = None
-    contributions = []
     if isinstance(census, NotTame):
-        special = census.uniform_sign
-        if special == INWARD:
-            morse_minus, morse_plus = chi_b, 0
-            ind_boundary = HalfInteger.halves(chi_b)
-        else:
-            morse_minus, morse_plus = 0, chi_b
-            ind_boundary = HalfInteger.halves(-chi_b)
-    else:
-        for rec in census:
-            k = boundary_tangential_degree(M, collar, v, rec)
-            contributions.append(
-                BoundaryContribution(rec, k, boundary_zero_index(rec, k)))
-        morse_minus, morse_plus = morse_split(contributions)
-        ind_boundary = sum((b.half_index for b in contributions), ZERO)
-        if crosscheck and morse_minus + morse_plus != chi_b:
-            raise ResolutionExhausted(
-                "boundary census failed the chi crosscheck: inward degrees "
-                f"{morse_minus} + outward degrees {morse_plus} != "
-                f"chi(boundary) = {chi_b}; some tangential zero was likely "
-                "missed or misclassified")
-    total = ind_boundary + ind_interior
-    return IndexReport(
-        shape=M.name, n=M.n,
-        interior_zeros=interior, interior_indices=int_indices,
+        inward = census.uniform_sign == INWARD
+        return dict(
+            boundary=[], special_boundary=census.uniform_sign,
+            boundary_index=HalfInteger.halves(chi_b if inward else -chi_b),
+            morse_minus=chi_b if inward else 0,
+            morse_plus=0 if inward else chi_b)
+    contributions = []
+    for rec in census:
+        k = boundary_tangential_degree(M, collar, v, rec)
+        contributions.append(
+            BoundaryContribution(rec, k, boundary_zero_index(rec, k)))
+    morse_minus, morse_plus = morse_split(contributions)
+    if crosscheck and morse_minus + morse_plus != chi_b:
+        raise ResolutionExhausted(
+            "boundary census failed the chi crosscheck: inward degrees "
+            f"{morse_minus} + outward degrees {morse_plus} != "
+            f"chi(boundary) = {chi_b}; some tangential zero was likely "
+            "missed or misclassified")
+    return dict(
         boundary=contributions,
-        interior_index=ind_interior, boundary_index=ind_boundary,
-        total_index=total, chi=chi, chi_boundary=chi_b,
-        morse_minus=morse_minus, morse_plus=morse_plus,
-        expected_total=expected,
-        theorem_holds=(total == HalfInteger.of(expected)),
-        special_boundary=special,
-        perturbations=list(perturbations))
+        boundary_index=sum((b.half_index for b in contributions), ZERO),
+        morse_minus=morse_minus, morse_plus=morse_plus)
 
 
 def hypersurface_index(S, collar, v):

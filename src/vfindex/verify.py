@@ -17,7 +17,9 @@ it takes of the field ``make_tame`` returns is the one that
 from, so each auto-tamed index takes one boundary search.
 
 The verdicts below each test one consequence of the boundary index theorem
-and report pass/fail together with the numbers involved.
+and report pass/fail together with the numbers involved.  Each is a pure
+function of the reports it compares, which ``run_all`` computes once each;
+only ``invariance_verdict`` builds its own (boundary-only) reports.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import numpy as np
 
 from .degree import SphereMap, degree_for
 from .errors import CannotTame, NotTame, ZeroOnBoundary
+from .euler import chi_boundary_for
 from .fields import CallableField
-from .indices import HalfInteger, _index_report, full_index
+from .indices import HalfInteger, _boundary_part, full_index
 from .manifold import (GRAD_FLOOR, TANGENT, Collar, collar_bump,
                        surface_samples)
 from .zerofind import find_boundary_tangential_zeros
@@ -149,19 +152,25 @@ def make_tame(M, collar, v, seed=0, always_perturb=False, eps=1e-2):
 
     The input is returned unchanged when it is already tame, or when it falls
     under the exact uniform-transverse special case (unless
-    ``always_perturb`` forces a collar blend, as the invariance trials do).
+    ``always_perturb`` forces a perturbation).
     """
-    v, log, _ = _tame(M, collar, v, seed, always_perturb, eps)
-    return v, log
+    status = tameness_status(M, collar, v)
+    if status in ("tame", "special") and not always_perturb:
+        return v, []
+    return _perturb(M, collar, v, status, seed, eps)[:2]
 
 
-def _tame(M, collar, v, seed=0, always_perturb=False, eps=1e-2,
-          resolution=None):
+def _tame(M, collar, v, seed=0, resolution=None):
     """make_tame, also returning the boundary census (see ``_tameness``) of
     the returned field, taken at ``resolution`` by its tameness check."""
     status, census = _tameness(M, collar, v, resolution)
-    if status in ("tame", "special") and not always_perturb:
+    if status in ("tame", "special"):
         return v, [], census
+    return _perturb(M, collar, v, status, seed, resolution=resolution)
+
+
+def _perturb(M, collar, v, status, seed=0, eps=1e-2, resolution=None):
+    """The repair loop of make_tame, for a v of the given tameness status."""
     rng = np.random.default_rng(seed)
     log = []
     current = v
@@ -190,21 +199,19 @@ def _tame(M, collar, v, seed=0, always_perturb=False, eps=1e-2,
 # Verdicts
 # --------------------------------------------------------------------------
 
-def theorem_verdict(M, collar, v, auto_tame=True, seed=0):
-    rep = full_index(M, collar, v, auto_tame=auto_tame, seed=seed)
+def theorem_verdict(rep):
+    """The total index of one report equals chi (even n) or 0 (odd n)."""
     return Verdict(
         "total index equals chi (even n) or 0 (odd n)",
         rep.theorem_holds,
         {"total": str(rep.total_index), "expected": rep.expected_total,
          "interior": rep.interior_index, "boundary": str(rep.boundary_index),
-         "shape": M.name}), rep
+         "shape": rep.shape})
 
 
-def negation_verdict(M, collar, v, auto_tame=True, seed=0):
-    """Both index parts of -v are (-1)^n times those of v."""
-    rep = full_index(M, collar, v, auto_tame=auto_tame, seed=seed)
-    neg = full_index(M, collar, -v, auto_tame=auto_tame, seed=seed)
-    s = (-1) ** M.n
+def negation_verdict(rep, neg):
+    """Both index parts of -v (``neg``) are (-1)^n times those of v."""
+    s = (-1) ** rep.n
     ok = (neg.interior_index == s * rep.interior_index
           and neg.boundary_index == s * rep.boundary_index
           and rep.theorem_holds and neg.theorem_holds)
@@ -213,8 +220,8 @@ def negation_verdict(M, collar, v, auto_tame=True, seed=0):
         ok,
         {"interior": rep.interior_index, "neg_interior": neg.interior_index,
          "boundary": str(rep.boundary_index),
-         "neg_boundary": str(neg.boundary_index), "n": M.n,
-         "shape": M.name}), rep, neg
+         "neg_boundary": str(neg.boundary_index), "n": rep.n,
+         "shape": rep.shape})
 
 
 def suspension_verdict(a, radius=0.5, center=None):
@@ -239,66 +246,63 @@ def suspension_verdict(a, radius=0.5, center=None):
         ok, {"deg_a": deg_a, "deg_b": deg_b})
 
 
-def doubling_verdict(M, collar, v, auto_tame=True, seed=0):
+def doubling_verdict(rep):
     """Index sum of the doubled field on the double equals chi of the double.
 
     The doubled field carries each interior zero twice (once per copy; a
     reflection preserves degrees) and turns each tangential boundary zero of
     tangential degree k into a zero of index +-k, with the sign of the
-    transverse direction.  chi of the double is 2 chi(M) - chi(boundary).
+    transverse direction, so the sum is twice the interior index plus twice
+    the boundary index.  (In the uniform transverse case each of the
+    chi(boundary) tangential zeros of a taming blend contributes the same
+    +-1, which is twice the report's boundary index +-chi(boundary)/2.)
+    chi of the double is 2 chi(M) - chi(boundary).
     """
-    rep = full_index(M, collar, v, auto_tame=auto_tame, seed=seed)
-    doubled = 2 * rep.interior_index + sum(
-        (2 * b.half_index for b in rep.boundary), HalfInteger(0))
-    if rep.special_boundary is not None:
-        # uniform transverse case: each of the chi(boundary) tangential zeros
-        # of a taming blend contributes +-1, all with the same sign
-        sign = 1 if rep.special_boundary == "Inward" else -1
-        doubled = HalfInteger.of(2 * rep.interior_index + sign * rep.chi_boundary)
+    doubled = 2 * rep.interior_index + 2 * rep.boundary_index
     chi_double = 2 * rep.chi - rep.chi_boundary
     ok = doubled == HalfInteger.of(chi_double)
     return Verdict(
         "doubled field index sum equals chi of the double",
         ok, {"doubled_sum": str(doubled), "chi_double": chi_double,
-             "shape": M.name}), rep
+             "shape": rep.shape})
 
 
-def collar_independence_verdict(M, v, auto_tame=True, seed=0):
-    """The boundary index does not depend on the transverse coordinate."""
-    reports = {}
-    for kind in ("neg_g", "scaled"):
-        reports[kind] = full_index(M, Collar(kind), v,
-                                   auto_tame=auto_tame, seed=seed)
+def collar_independence_verdict(reports):
+    """The boundary index does not depend on the transverse coordinate;
+    ``reports`` maps "neg_g" and "scaled" to one field's report under each."""
     a, b = reports["neg_g"], reports["scaled"]
     ok = (a.boundary_index == b.boundary_index
           and a.interior_index == b.interior_index)
     return Verdict(
         "boundary index is collar independent",
         ok, {"neg_g": str(a.boundary_index), "scaled": str(b.boundary_index),
-             "shape": M.name}), reports
+             "shape": a.shape})
 
 
 def invariance_verdict(M, collar, v, trials=5, seed=0):
-    """Fresh collar perturbations never change the boundary index."""
+    """Fresh collar perturbations never change the boundary index.  Each
+    trial perturbs v with its own seed from v's tameness status, checked
+    once, and computes only the boundary index."""
+    status = tameness_status(M, collar, v)
+    chi_b = chi_boundary_for(M)
     values = []
     for t in range(trials):
-        vt, _, census = _tame(M, collar, v, seed=seed + 1000 * (t + 1),
-                              always_perturb=True)
-        values.append(_index_report(M, collar, vt, census).boundary_index)
+        vt, _, census = _perturb(M, collar, v, status, seed + 1000 * (t + 1))
+        part = _boundary_part(M, collar, vt, census, chi_b)
+        values.append(part["boundary_index"])
     ok = all(val == values[0] for val in values)
     return Verdict(
         "boundary index is invariant under collar perturbations",
         ok, {"values": [str(val) for val in values], "shape": M.name})
 
 
-def morse_verdict(M, collar, v, auto_tame=True, seed=0):
+def morse_verdict(rep):
     """Tangential degree sums satisfy the two Morse identities.
 
-    The crosscheck inside full_index is disabled here since it would assume
-    the first identity.
+    A report built with the chi crosscheck on has passed the first identity
+    already; callers that want it tested rather than assumed pass a
+    ``full_index(..., crosscheck=False)`` report.
     """
-    rep = full_index(M, collar, v, crosscheck=False, auto_tame=auto_tame,
-                     seed=seed)
     first = rep.morse_minus + rep.morse_plus == rep.chi_boundary
     second = rep.interior_index + rep.morse_minus == rep.chi
     return Verdict(
@@ -306,16 +310,17 @@ def morse_verdict(M, collar, v, auto_tame=True, seed=0):
         first and second,
         {"morse_minus": rep.morse_minus, "morse_plus": rep.morse_plus,
          "chi_boundary": rep.chi_boundary, "interior": rep.interior_index,
-         "chi": rep.chi, "shape": M.name}), rep
+         "chi": rep.chi, "shape": rep.shape})
 
 
 def run_all(M, collar, v, seed=0):
-    """Every verdict for one scene, as a list."""
-    out = []
-    out.append(theorem_verdict(M, collar, v, seed=seed)[0])
-    out.append(negation_verdict(M, collar, v, seed=seed)[0])
-    out.append(doubling_verdict(M, collar, v, seed=seed)[0])
-    out.append(collar_independence_verdict(M, v, seed=seed)[0])
-    out.append(invariance_verdict(M, collar, v, seed=seed))
-    out.append(morse_verdict(M, collar, v, seed=seed)[0])
-    return out
+    """Every verdict for one scene, as a list.  The auto-tamed reports of v,
+    of -v and of v under the other collar are each computed once."""
+    rep = full_index(M, collar, v, auto_tame=True, seed=seed)
+    neg = full_index(M, collar, -v, auto_tame=True, seed=seed)
+    other = Collar("scaled" if collar.kind == "neg_g" else "neg_g")
+    alt = full_index(M, other, v, auto_tame=True, seed=seed)
+    return [theorem_verdict(rep), negation_verdict(rep, neg),
+            doubling_verdict(rep),
+            collar_independence_verdict({collar.kind: rep, other.kind: alt}),
+            invariance_verdict(M, collar, v, seed=seed), morse_verdict(rep)]

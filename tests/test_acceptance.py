@@ -159,8 +159,9 @@ def test_criterion_05_negation_parity_all_scenes(say):
     """ind(-v) parts are (-1)^n times ind(v) parts on every catalog scene."""
     for name in DOMAIN_SCENES:
         scene = load_scene(name)
-        verdict, rep, neg = negation_verdict(scene.manifold, COLLAR,
-                                             scene.field, auto_tame=True)
+        rep, neg = (full_index(scene.manifold, COLLAR, v, auto_tame=True)
+                    for v in (scene.field, -scene.field))
+        verdict = negation_verdict(rep, neg)
         assert verdict.passed, f"{name}: {verdict.details}"
     # closed surfaces: the index sum of the projected field equals chi for
     # both v and -v (the domain statement has no half-indices here)
@@ -183,7 +184,9 @@ def test_criterion_06_morse_identities(say):
         M = _domain(shape)
         for i in range(10):
             v = random_polynomial_field(rng, M.n, 2)
-            verdict, rep = morse_verdict(M, COLLAR, v, auto_tame=True, seed=i)
+            rep = full_index(M, COLLAR, v, crosscheck=False, auto_tame=True,
+                             seed=i)
+            verdict = morse_verdict(rep)
             assert verdict.passed, f"{M.name} draw {i}: {verdict.details}"
             assert rep.morse_minus + rep.morse_plus == rep.chi_boundary
             assert rep.interior_index + rep.morse_minus == rep.chi
@@ -224,8 +227,10 @@ def test_criterion_08_collar_and_perturbation_invariance(say):
     """Both collars and 5 fresh perturbations agree on ind_b, per scene."""
     for name in DOMAIN_SCENES:
         scene = load_scene(name)
-        verdict, reports = collar_independence_verdict(
-            scene.manifold, scene.field, auto_tame=True)
+        reports = {kind: full_index(scene.manifold, Collar(kind), scene.field,
+                                    auto_tame=True)
+                   for kind in ("neg_g", "scaled")}
+        verdict = collar_independence_verdict(reports)
         assert verdict.passed, f"{name}: {verdict.details}"
         verdict = invariance_verdict(scene.manifold, COLLAR, scene.field,
                                      trials=5)

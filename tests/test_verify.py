@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vfindex.errors import VfError
 from vfindex.expr import parse
 from vfindex.fields import ExpressionField, random_polynomial_field
 from vfindex import indices
@@ -127,10 +128,15 @@ def test_suspension_lemma_basic():
         assert verdict.details["deg_b"] == -want
 
 
+def tamed(M, v, collar=COLLAR, **kwargs):
+    return full_index(M, collar, v, auto_tame=True, **kwargs)
+
+
 def test_negation_verdict_disk_and_ball():
     for M, v in [(disk(), ExpressionField.parse(["1", "0"])),
                  (ball3(), ExpressionField.parse(["1", "0", "0"]))]:
-        verdict, rep, neg = vf.negation_verdict(M, COLLAR, v)
+        rep, neg = tamed(M, v), tamed(M, -v)
+        verdict = vf.negation_verdict(rep, neg)
         assert verdict.passed
         s = (-1) ** M.n
         assert neg.interior_index == s * rep.interior_index
@@ -138,21 +144,26 @@ def test_negation_verdict_disk_and_ball():
 
 
 def test_doubling_verdict():
-    verdict, rep = vf.doubling_verdict(disk(), COLLAR,
-                                       ExpressionField.parse(["1", "0"]))
+    verdict = vf.doubling_verdict(tamed(disk(),
+                                        ExpressionField.parse(["1", "0"])))
     assert verdict.passed
     assert verdict.details["chi_double"] == 2  # double of the disk is a sphere
-    verdict, rep = vf.doubling_verdict(ball3(), COLLAR,
-                                       ExpressionField.parse(["x1", "x2", "x3"]))
+    # the radial field is the uniform transverse (special) case
+    rep = tamed(ball3(), ExpressionField.parse(["x1", "x2", "x3"]))
+    assert rep.special_boundary == "Outward"
+    verdict = vf.doubling_verdict(rep)
     assert verdict.passed
     assert verdict.details["chi_double"] == 0
+    assert verdict.details["doubled_sum"] == "0"
 
 
 def test_collar_independence():
-    verdict, reports = vf.collar_independence_verdict(
-        disk(), ExpressionField.parse(["1", "0"]))
+    v = ExpressionField.parse(["1", "0"])
+    reports = {kind: tamed(disk(), v, Collar(kind))
+               for kind in ("neg_g", "scaled")}
+    verdict = vf.collar_independence_verdict(reports)
     assert verdict.passed
-    assert reports["neg_g"].boundary_index == reports["scaled"].boundary_index
+    assert verdict.details == {"neg_g": "1", "scaled": "1", "shape": "ball_2"}
 
 
 def test_perturbation_invariance():
@@ -166,8 +177,42 @@ def test_perturbation_invariance():
 def test_invariance_trials_reuse_the_tameness_census(searches):
     vf.invariance_verdict(disk(), COLLAR, ExpressionField.parse(["1", "0"]),
                           trials=3)
-    # per trial: the input's status, then the accepted collar blend's census
-    assert len(searches) == 6
+    # the input's status once, then the accepted collar blend's census per
+    # trial
+    assert len(searches) == 4
+
+
+def test_run_all_computes_each_report_once(monkeypatch, searches):
+    """3 auto-tamed reports (v, -v, v under the other collar) with one
+    interior and one boundary search each, then the invariance trials: one
+    tameness check of v and one boundary search per trial, no interior."""
+    calls = {"full_index": 0, "interior": 0}
+
+    def counted(mod, name, key):
+        orig = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counted(vf, "full_index", "full_index")
+    counted(indices, "find_interior_zeros", "interior")
+    verdicts = vf.run_all(disk(), COLLAR, ExpressionField.parse(["1", "0"]))
+    assert calls == {"full_index": 3, "interior": 3}
+    assert len(searches) == 9
+    assert all(vd.passed for vd in verdicts)
+    assert [vd.details for vd in verdicts] == [
+        {"total": "1", "expected": 1, "interior": 0, "boundary": "1",
+         "shape": "ball_2"},
+        {"interior": 0, "neg_interior": 0, "boundary": "1",
+         "neg_boundary": "1", "n": 2, "shape": "ball_2"},
+        {"doubled_sum": "2", "chi_double": 2, "shape": "ball_2"},
+        {"neg_g": "1", "scaled": "1", "shape": "ball_2"},
+        {"values": ["1"] * 5, "shape": "ball_2"},
+        {"morse_minus": 1, "morse_plus": -1, "chi_boundary": 0,
+         "interior": 0, "chi": 1, "shape": "ball_2"},
+    ]
 
 
 def test_morse_verdict_random_fields():
@@ -177,10 +222,13 @@ def test_morse_verdict_random_fields():
     for _ in range(6):
         v = random_polynomial_field(rng, 2, 2)
         try:
-            verdict, rep = vf.morse_verdict(M, COLLAR, v, seed=3)
-        except Exception:
+            # crosscheck off, so that the first identity is tested, not
+            # assumed
+            rep = full_index(M, COLLAR, v, crosscheck=False, auto_tame=True,
+                             seed=3)
+        except VfError:
             continue  # non-tame beyond repair for this draw, skip honestly
-        assert verdict.passed
+        assert vf.morse_verdict(rep).passed
         done += 1
     assert done >= 3
 
