@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -56,6 +57,15 @@ def _read_scene_text(spec):
         raise SceneParseError(f"cannot read scene {spec!r}: {exc}")
 
 
+def _expression_texts(texts, n, key):
+    """texts, checked to be a list of n expression strings."""
+    if not (isinstance(texts, list) and len(texts) == n
+            and all(isinstance(t, str) for t in texts)):
+        raise SchemaError(f"{key} must list {n} component expressions",
+                          key="field")
+    return texts
+
+
 def load_scene(spec) -> Scene:
     """Build a Scene from a bundled name or a path to a .scene JSON file."""
     text = _read_scene_text(spec)
@@ -82,6 +92,9 @@ def load_scene(spec) -> Scene:
             f"manifold.kind must be 'domain' or 'hypersurface', got {kind!r}",
             key="manifold")
     from .expr import parse
+    if not isinstance(man["g"], str):
+        raise SchemaError("manifold.g must be an expression string",
+                          key="manifold")
     g = parse(man["g"], n)
     cls = DomainManifold if kind == "domain" else Hypersurface
     M = cls(g, n, man["bbox"], man.get("shape", ""))
@@ -92,22 +105,15 @@ def load_scene(spec) -> Scene:
     field = None
     cfield = None
     if fd["kind"] == "real":
-        texts = fd.get("v")
-        if not isinstance(texts, list) or len(texts) != n:
-            raise SchemaError(f"field.v must list {n} component expressions",
-                              key="field")
-        field = ExpressionField.parse(texts)
+        field = ExpressionField.parse(
+            _expression_texts(fd.get("v"), n, "field.v"))
     else:
         if kind != "hypersurface":
             raise SchemaError("complex pairs are only defined on hypersurfaces",
                               key="field")
-        for part in ("xi", "eta"):
-            if part not in fd or len(fd[part]) != n:
-                raise SchemaError(
-                    f"field.{part} must list {n} component expressions",
-                    key="field")
-        cfield = ComplexField(M, ExpressionField.parse(fd["xi"]),
-                              ExpressionField.parse(fd["eta"]))
+        pair = [_expression_texts(fd.get(part), n, f"field.{part}")
+                for part in ("xi", "eta")]
+        cfield = ComplexField(M, *map(ExpressionField.parse, pair))
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise SchemaError("options must be an object", key="options")
@@ -409,10 +415,19 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a reader that has gone makes this flush fail here, not at exit
+        sys.stdout.flush()
+        return code
     except VfError as exc:
         sys.stderr.write(json.dumps(exc.as_dict()) + "\n")
         return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone (``vfindex catalog | head -1``);
+        # pointing stdout at devnull keeps the flush at exit quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

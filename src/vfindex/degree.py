@@ -148,15 +148,15 @@ def degree_s2(m: SphereMap, subdivision_level: int = 5) -> DegreeResult:
     raise ResolutionExhausted("icosphere refinement exceeded level 8")
 
 
-def degree_for(m: SphereMap, **kw) -> DegreeResult:
+def degree_for(m: SphereMap) -> DegreeResult:
     if m.k == -1:
         return degree_empty()
     if m.k == 0:
         return degree_s0(m)
     if m.k == 1:
-        return degree_s1(m, **kw)
+        return degree_s1(m)
     if m.k == 2:
-        return degree_s2(m, **kw)
+        return degree_s2(m)
     raise ResolutionExhausted(f"degree on S^{m.k} not supported")
 
 

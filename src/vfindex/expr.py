@@ -5,9 +5,9 @@ accepts a nonnegative integer literal exponent, which keeps differentiation
 total and exact.  Admitted primitives are smooth: + - * / ^ unary minus and
 sin, cos, exp, sqrt.  Evaluation is vectorized over numpy point batches.
 
-sqrt at exactly 0 evaluates to value 0 with zero partials and raises a
-"subgradient at kink" diagnostic flag on the jet; this makes fields such as
-``sqrt(x1^2+x2^2)*x1`` C^1 at the origin with the expected zero derivative.
+sqrt at exactly 0 evaluates to value 0 with zero partials; this makes
+fields such as ``sqrt(x1^2+x2^2)*x1`` C^1 at the origin with the expected
+zero derivative.
 
 ``interval`` is the natural interval extension over a batch of boxes.  numpy
 has no directed rounding, so every rounded endpoint is widened outward with
@@ -92,7 +92,7 @@ class Node:
     def val(self, x):
         raise NotImplementedError
 
-    def jet(self, x, ctx):
+    def jet(self, x):
         raise NotImplementedError
 
     def interval(self, lo, hi):
@@ -108,7 +108,7 @@ class Const(Node):
     def val(self, x):
         return np.full(x.shape[:-1], self.v)
 
-    def jet(self, x, ctx):
+    def jet(self, x):
         return np.full(x.shape[:-1], self.v), np.zeros_like(x)
 
     def interval(self, lo, hi):
@@ -126,7 +126,7 @@ class Var(Node):
     def val(self, x):
         return x[..., self.i]
 
-    def jet(self, x, ctx):
+    def jet(self, x):
         g = np.zeros_like(x)
         g[..., self.i] = 1.0
         return x[..., self.i], g
@@ -147,9 +147,9 @@ class Add(Node):
     def val(self, x):
         return self.a.val(x) + self.b.val(x)
 
-    def jet(self, x, ctx):
-        va, ga = self.a.jet(x, ctx)
-        vb, gb = self.b.jet(x, ctx)
+    def jet(self, x):
+        va, ga = self.a.jet(x)
+        vb, gb = self.b.jet(x)
         return va + vb, ga + gb
 
     def interval(self, lo, hi):
@@ -167,9 +167,9 @@ class Sub(Node):
     def val(self, x):
         return self.a.val(x) - self.b.val(x)
 
-    def jet(self, x, ctx):
-        va, ga = self.a.jet(x, ctx)
-        vb, gb = self.b.jet(x, ctx)
+    def jet(self, x):
+        va, ga = self.a.jet(x)
+        vb, gb = self.b.jet(x)
         return va - vb, ga - gb
 
     def interval(self, lo, hi):
@@ -187,9 +187,9 @@ class Mul(Node):
     def val(self, x):
         return self.a.val(x) * self.b.val(x)
 
-    def jet(self, x, ctx):
-        va, ga = self.a.jet(x, ctx)
-        vb, gb = self.b.jet(x, ctx)
+    def jet(self, x):
+        va, ga = self.a.jet(x)
+        vb, gb = self.b.jet(x)
         return va * vb, va[..., None] * gb + vb[..., None] * ga
 
     def interval(self, lo, hi):
@@ -210,9 +210,9 @@ class Div(Node):
             raise DomainError("division by zero")
         return self.a.val(x) / vb
 
-    def jet(self, x, ctx):
-        va, ga = self.a.jet(x, ctx)
-        vb, gb = self.b.jet(x, ctx)
+    def jet(self, x):
+        va, ga = self.a.jet(x)
+        vb, gb = self.b.jet(x)
         if np.any(vb == 0.0):
             raise DomainError("division by zero")
         v = va / vb
@@ -250,8 +250,8 @@ class Pow(Node):
     def val(self, x):
         return _int_power(self.a.val(x), self.k)
 
-    def jet(self, x, ctx):
-        va, ga = self.a.jet(x, ctx)
+    def jet(self, x):
+        va, ga = self.a.jet(x)
         if self.k == 0:
             return np.ones_like(va), np.zeros_like(ga)
         below = _int_power(va, self.k - 1)
@@ -285,8 +285,8 @@ class Neg(Node):
     def val(self, x):
         return -self.a.val(x)
 
-    def jet(self, x, ctx):
-        va, ga = self.a.jet(x, ctx)
+    def jet(self, x):
+        va, ga = self.a.jet(x)
         return -va, -ga
 
     def interval(self, lo, hi):
@@ -312,8 +312,8 @@ class Fun(Node):
             raise DomainError("sqrt of negative argument")
         return np.sqrt(np.maximum(va, 0.0))
 
-    def jet(self, x, ctx):
-        va, ga = self.a.jet(x, ctx)
+    def jet(self, x):
+        va, ga = self.a.jet(x)
         if self.name == "sin":
             return np.sin(va), np.cos(va)[..., None] * ga
         if self.name == "cos":
@@ -326,8 +326,6 @@ class Fun(Node):
         va = np.maximum(va, 0.0)
         v = np.sqrt(va)
         at_kink = va == 0.0
-        if np.any(at_kink):
-            ctx["kink"] = True
         safe = np.where(at_kink, 1.0, v)
         g = np.where(at_kink[..., None], 0.0, ga / (2.0 * safe[..., None]))
         return v, g
@@ -506,7 +504,6 @@ class _Parser:
 class JetValue:
     value: float
     partials: np.ndarray
-    kink: bool = False
 
 
 @dataclass(frozen=True)
@@ -537,22 +534,19 @@ class Expression:
         """Batch evaluation over an (m, n) array of points."""
         return self.evaluate(points)
 
-    def eval_jet(self, point) -> JetValue:
-        x = self._points(point)
-        ctx = {"kink": False}
-        v, g = self.root.jet(x, ctx)
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(g))):
-            raise DomainError("non-finite value in jet evaluation")
-        return JetValue(float(v), g, ctx["kink"])
-
-    def jets(self, points):
-        """Batch jets: returns (values (m,), gradients (m, n))."""
-        x = self._points(points)
-        ctx = {"kink": False}
-        v, g = self.root.jet(x, ctx)
+    def _jet(self, point):
+        v, g = self.root.jet(self._points(point))
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(g))):
             raise DomainError("non-finite value in jet evaluation")
         return v, g
+
+    def eval_jet(self, point) -> JetValue:
+        v, g = self._jet(point)
+        return JetValue(float(v), g)
+
+    def jets(self, points):
+        """Batch jets: returns (values (m,), gradients (m, n))."""
+        return self._jet(points)
 
     def gradient(self, point) -> np.ndarray:
         return self.eval_jet(point).partials
@@ -571,10 +565,6 @@ def parse(text: str, arity: int) -> Expression:
         raise ExprSyntaxError("empty expression", 0)
     root = _Parser(text, arity).parse()
     return Expression(root, arity)
-
-
-def constant(v: float, arity: int) -> Expression:
-    return Expression(Const(float(v)), arity)
 
 
 def _print(node, parent_prec=0):

@@ -9,6 +9,11 @@ Two concrete kinds are used throughout:
   verification layer are of this kind (their cutoff factors have no closed
   expression in the parser grammar).
 
+``central_difference`` is the one finite-difference Jacobian of the
+package: callable fields, the boundary Newton polish, the chart Jacobian of
+a boundary zero and the Lipschitz estimate of the square norm all use it,
+with step ``FD_STEP`` unless their scale asks for a smaller one.
+
 All evaluation is batched: ``value`` maps an (m, n) array of points to an
 (m, n) array of vectors and ``jacobian`` to (m, n, n) matrices.
 
@@ -26,6 +31,24 @@ import itertools
 import numpy as np
 
 from . import expr as ex
+
+FD_STEP = 1e-6
+
+
+def central_difference(fn, x, h=FD_STEP):
+    """Central-difference Jacobians of the batch map fn at the points x.
+
+    fn maps (m, n) points to (m, k) values, or to (m,) scalars; the result
+    is (m, k, n), or (m, n) for a scalar map.  Complex values are allowed.
+    """
+    x = np.asarray(x, float)
+    n = x.shape[-1]
+    cols = []
+    for i in range(n):
+        dx = np.zeros(n)
+        dx[i] = h
+        cols.append((fn(x + dx) - fn(x - dx)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
 class VectorField:
@@ -93,11 +116,10 @@ class ExpressionField(VectorField):
 
 
 class CallableField(VectorField):
-    def __init__(self, n, fn, jac=None, fd_step=1e-6):
+    def __init__(self, n, fn, jac=None):
         self.n = n
         self.fn = fn
         self._jac = jac
-        self.fd_step = fd_step
 
     def value(self, x):
         return self.fn(np.asarray(x, float))
@@ -106,13 +128,7 @@ class CallableField(VectorField):
         x = np.asarray(x, float)
         if self._jac is not None:
             return self._jac(x)
-        h = self.fd_step
-        cols = []
-        for i in range(self.n):
-            dx = np.zeros(self.n)
-            dx[i] = h
-            cols.append((self.fn(x + dx) - self.fn(x - dx)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
+        return central_difference(self.fn, x)
 
     def zero_free(self, lo, hi, paranoid=False):
         """Sampled, not proved: 3 probes per axis (5 with ``paranoid``)."""

@@ -175,16 +175,13 @@ def _stable_degree(make_map, r0, where, halvings=6):
         f"halvings from {r0}")
 
 
-def interior_index(M, v, record, stability_check=True):
+def interior_index(M, v, record):
     """Degree of v/|v| on a sphere around an isolated interior zero."""
-    r = record.isolation_radius
-    if not stability_check:
-        return degree_for(SphereMap(v.value, record.position, r)).degree
     return _stable_degree(lambda rr: SphereMap(v.value, record.position, rr),
-                          r, record.position)
+                          record.isolation_radius, record.position)
 
 
-def boundary_tangential_degree(M, collar, v, record, stability_check=True):
+def boundary_tangential_degree(M, collar, v, record):
     """Degree k of the tangential part around a boundary zero (chart chart).
 
     For n = 1 the relevant sphere is empty and the degree is 1 by convention.
@@ -195,8 +192,6 @@ def boundary_tangential_degree(M, collar, v, record, stability_check=True):
     f = chart_tangential_field(M, collar, v, chart)
     r = min(record.isolation_radius, chart.radius)
     center = np.zeros(M.n - 1)
-    if not stability_check:
-        return degree_for(SphereMap(f, center, r)).degree
     return _stable_degree(lambda rr: SphereMap(f, center, rr), r,
                           record.position)
 

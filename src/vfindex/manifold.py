@@ -35,7 +35,11 @@ TANGENT = "Tangent"
 
 
 def _bbox_array(bbox, n):
-    b = np.asarray(bbox, dtype=float)
+    try:
+        b = np.asarray(bbox, dtype=float)
+    except (TypeError, ValueError):
+        raise VfError(f"bbox must be {n} finite nonempty intervals, "
+                      f"got {bbox!r}")
     if b.shape != (n, 2) or not np.all(np.isfinite(b)) or np.any(b[:, 0] >= b[:, 1]):
         raise VfError(f"bbox must be {n} finite nonempty intervals")
     return b
@@ -116,9 +120,6 @@ class DomainManifold:
     def collar_band(self):
         return COLLAR_BAND_FRACTION * self.diameter
 
-    def contains(self, x):
-        return self.g.values(np.asarray(x, float)) <= 0.0
-
 
 @dataclass
 class Hypersurface:
@@ -197,30 +198,16 @@ class Collar:
 
 
 # --------------------------------------------------------------------------
-# Point classification and projection
+# Projection
 # --------------------------------------------------------------------------
 
-def classify(M, p, band=BOUNDARY_BAND):
-    gp = M.g.evaluate(p)
-    if abs(gp) <= band:
-        return "Boundary"
-    return "Interior" if gp < 0 else "Outside"
-
-
-def project_to_boundary(M, p, tol=1e-12, max_iter=50):
-    """Damped Newton along grad g toward {g = 0}."""
-    q = project_batch(M, np.asarray(p, float)[None, :], tol, max_iter)
-    if q.shape[0] == 0:
-        raise NoConvergence("boundary projection did not converge")
-    return q[0]
-
-
-def project_batch(M, pts, tol=1e-12, max_iter=50):
-    """Project many points; silently drops the non-converged ones."""
+def project_batch(M, pts):
+    """Project points onto {g = 0} by damped Newton along grad g; silently
+    drops the non-converged ones."""
     x = np.array(pts, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(50):
         v, grad = M.g.jets(x)
-        if np.all(np.abs(v) < tol):
+        if np.all(np.abs(v) < 1e-12):
             break
         g2 = np.sum(grad * grad, axis=-1)
         ok = g2 > GRAD_FLOOR ** 2
@@ -240,23 +227,9 @@ def project_batch(M, pts, tol=1e-12, max_iter=50):
 # Tangential / transverse decomposition
 # --------------------------------------------------------------------------
 
-def decompose(M, collar, p, vec):
-    """Split vec at boundary point p into (tangential part, transverse value)."""
-    p = np.asarray(p, float)
-    vec = np.asarray(vec, float)
-    if abs(M.g.evaluate(p)) >= 1e-9:
-        raise VfError("decompose requires a boundary point (|g| < 1e-9)")
-    grad = M.g.gradient(p)
-    gn = np.linalg.norm(grad)
-    if gn < GRAD_FLOOR:
-        raise DegenerateBoundary("grad g vanishes at the decomposition point")
-    nhat = grad / gn
-    v_par = vec - np.dot(vec, nhat) * nhat
-    v_perp = float(collar.transverse(p, grad, vec))
-    return v_par, v_perp
-
-
 def decompose_batch(collar, pts, grads, vecs):
+    """Split vecs at boundary points pts, where g has gradients grads, into
+    (tangential parts, transverse values)."""
     gn = np.linalg.norm(grads, axis=-1, keepdims=True)
     nhat = grads / np.maximum(gn, 1e-300)
     v_par = vecs - np.sum(vecs * nhat, axis=-1, keepdims=True) * nhat
@@ -291,10 +264,6 @@ class BoundaryChart:
         x[:, self.kept_axes] += u
         x = _solve_dropped(self.M, x, self.dropped_axis)
         return x
-
-    def params_of(self, x):
-        x = np.atleast_2d(np.asarray(x, float))
-        return x[:, self.kept_axes] - self.center[self.kept_axes]
 
     def push(self, vecs):
         """Pushforward of ambient tangent vectors into chart coordinates."""

@@ -38,6 +38,8 @@ from .manifold import (GRAD_FLOOR, TANGENT, Collar, collar_bump,
 from .zerofind import find_boundary_tangential_zeros
 
 MAX_TAME_ATTEMPTS = 10
+# size of the first repair perturbation; it halves every third attempt
+TAME_EPS = 1e-2
 
 
 @dataclass
@@ -147,7 +149,7 @@ def tameness_status(M, collar, v):
     return _tameness(M, collar, v)[0]
 
 
-def make_tame(M, collar, v, seed=0, always_perturb=False, eps=1e-2):
+def make_tame(M, collar, v, seed=0, always_perturb=False):
     """Return a tame field and the list of perturbations applied to get it.
 
     The input is returned unchanged when it is already tame, or when it falls
@@ -157,7 +159,7 @@ def make_tame(M, collar, v, seed=0, always_perturb=False, eps=1e-2):
     status = tameness_status(M, collar, v)
     if status in ("tame", "special") and not always_perturb:
         return v, []
-    return _perturb(M, collar, v, status, seed, eps)[:2]
+    return _perturb(M, collar, v, status, seed)[:2]
 
 
 def _tame(M, collar, v, seed=0, resolution=None):
@@ -169,13 +171,13 @@ def _tame(M, collar, v, seed=0, resolution=None):
     return _perturb(M, collar, v, status, seed, resolution=resolution)
 
 
-def _perturb(M, collar, v, status, seed=0, eps=1e-2, resolution=None):
+def _perturb(M, collar, v, status, seed=0, resolution=None):
     """The repair loop of make_tame, for a v of the given tameness status."""
     rng = np.random.default_rng(seed)
     log = []
     current = v
     for attempt in range(MAX_TAME_ATTEMPTS):
-        scale = eps * 0.5 ** (attempt // 3)
+        scale = TAME_EPS * 0.5 ** (attempt // 3)
         if status == "zero_on_boundary":
             candidate, entry = half_ball_shift(M, current, scale)
         elif attempt % 3 == 2:

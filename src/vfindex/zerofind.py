@@ -1,7 +1,7 @@
 """Zero isolation: interior zeros of a field, tangential zeros on the boundary.
 
 Interior search is breadth-first bisection of the bounding box, followed by
-batched Newton polishing of the surviving cell centers.  A cell is dropped
+Newton polishing of the surviving cell centers.  A cell is dropped
 when the interval bound of g is positive on it (it lies outside the domain)
 or when ``v.zero_free`` holds on it.  For expression fields that test is an
 outward-rounded interval bound, so a cell is dropped only on proof; only a
@@ -10,19 +10,25 @@ mode doubles the depth, and the probe density of the sampled test.
 
 Boundary search projects a dense grid band onto {g = 0}, polishes each
 sample with Newton on the augmented system {g = 0, kept components of the
-tangential part = 0} until its own step settles, and classifies each zero by
-the sign of the transverse component.  Interior polishing likewise stops
-each point on its own settled step.
+tangential part = 0}, and classifies each zero by the sign of the transverse
+component.
+
+Both searches polish with the one batched Newton loop, ``_newton_polish``,
+which stops each point once its own step settles.  The interior search
+gives it the field's value and Jacobian; the boundary search gives it the
+augmented system and that system's central-difference Jacobian.  Both then
+reduce the converged points to distinct zeros with ``_distinct``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (NoConvergence, ResolutionExhausted,
                      SuspectedNonIsolatedZero, NotTame, ZeroOnBoundary)
+from .fields import FD_STEP, central_difference
 from .manifold import (BOUNDARY_BAND, INWARD, OUTWARD, TANGENT,
                        boundary_chart, decompose_batch, inwardness,
                        surface_samples, interval_endpoints)
@@ -35,6 +41,8 @@ ISOLATION_FLOOR = 1e-6
 DEDUP_RADIUS = 1e-6
 CLUSTER_RADIUS = 1e-4
 CELL_CAP = 400_000
+# boundary samples with the smallest tangential part that are polished
+MAX_SEEDS = 4000
 
 
 @dataclass
@@ -58,14 +66,13 @@ class ZeroRecord:
         return d
 
 
-def unit_sphere_samples(n, count=None):
+def unit_sphere_samples(n):
     if n == 1:
         return np.array([[-1.0], [1.0]])
     if n == 2:
-        count = count or 48
-        th = 2.0 * np.pi * np.arange(count) / count
+        th = 2.0 * np.pi * np.arange(48) / 48
         return np.stack([np.cos(th), np.sin(th)], axis=-1)
-    count = count or 96
+    count = 96
     i = np.arange(count) + 0.5
     phi = np.arccos(1.0 - 2.0 * i / count)
     theta = np.pi * (1.0 + np.sqrt(5.0)) * i
@@ -83,28 +90,32 @@ def tangential_at(M, collar, v, x):
 
 
 # --------------------------------------------------------------------------
-# Interior zeros
+# Shared by both searches
 # --------------------------------------------------------------------------
 
-def _newton_polish(v, x0, max_iter=90, step_cap=None):
+def _newton_polish(f, jac, x0, max_iter, step_cap):
+    """Batched Newton on the square system f = 0 from the rows of x0.
+
+    f maps (m, n) points to (m, n) values and jac to (m, n, n) Jacobians.
+    Each step is capped at ``step_cap`` in length.  A point whose Jacobian
+    is singular stays where it is.
+    """
     x = np.array(x0, dtype=float)
     moving = np.arange(len(x))
     for _ in range(max_iter):
         xm = x[moving]
-        val = v.value(xm)
-        jac = v.jacobian(xm)
-        dets = np.abs(np.linalg.det(jac))
-        ok = dets > 1e-300
+        val = f(xm)
+        jm = jac(xm)
+        ok = np.abs(np.linalg.det(jm)) > 1e-300
         step = np.zeros_like(val)
-        step[ok] = np.linalg.solve(jac[ok], val[ok][..., None])[..., 0]
-        if step_cap is not None:
-            norms = np.linalg.norm(step, axis=-1, keepdims=True)
-            step *= np.minimum(1.0, step_cap / np.maximum(norms, 1e-300))
+        step[ok] = np.linalg.solve(jm[ok], val[ok][..., None])[..., 0]
+        norms = np.linalg.norm(step, axis=-1, keepdims=True)
+        step *= np.minimum(1.0, step_cap / np.maximum(norms, 1e-300))
         x[moving] = xm - step
         # linear-rate convergence at degenerate zeros needs the full budget,
-        # so a point stops on its own settled step rather than a small
-        # residual
-        moving = moving[np.linalg.norm(step, axis=-1) >= 1e-14]
+        # so a point stops once its own (uncapped) step settles rather than
+        # on a small residual
+        moving = moving[norms[:, 0] >= 1e-14]
         if len(moving) == 0:
             break
     return x
@@ -122,6 +133,29 @@ def _dedup(points, radius=DEDUP_RADIUS):
         rest = rest[~(np.linalg.norm(rest - reps[-1], axis=-1) < radius)]
     return reps
 
+
+def _distinct(converged, what):
+    """The distinct zeros among converged points, in sorted order.  More
+    than 8 of them within CLUSTER_RADIUS of one suggest a zero set that is
+    not isolated."""
+    zeros = _dedup(sorted(map(tuple, converged)))
+    for z in zeros:
+        nearby = sum(1 for w in zeros if np.linalg.norm(z - w) < CLUSTER_RADIUS)
+        if nearby > 8:
+            raise SuspectedNonIsolatedZero(
+                f"{nearby} {what} within {CLUSTER_RADIUS} of {z}")
+    return zeros
+
+
+def _separation(z, zeros):
+    """Distance from z to the nearest other zero (inf when there is none)."""
+    return min((np.linalg.norm(z - w) for w in zeros
+                if np.linalg.norm(z - w) > 0), default=np.inf)
+
+
+# --------------------------------------------------------------------------
+# Interior zeros
+# --------------------------------------------------------------------------
 
 def find_interior_zeros(M, v, depth=9, paranoid=False):
     """Isolated zeros of v in the interior of {g <= 0}."""
@@ -163,16 +197,12 @@ def find_interior_zeros(M, v, depth=9, paranoid=False):
     if len(lo) == 0:
         return []
     centers = 0.5 * (lo + hi)
-    polished = _newton_polish(v, centers, step_cap=0.25 * M.diameter)
+    polished = _newton_polish(v.value, v.jacobian, centers, 90,
+                              0.25 * M.diameter)
     res = v.norms(polished)
     inside = np.all((polished >= M.bbox[:, 0]) & (polished <= M.bbox[:, 1]), axis=-1)
     converged = polished[(res < ZERO_NORM_TOL * 1e-2) & inside]
-    zeros = _dedup(sorted(map(tuple, converged)))
-    for z in zeros:
-        nearby = sum(1 for w in zeros if np.linalg.norm(z - w) < CLUSTER_RADIUS)
-        if nearby > 8:
-            raise SuspectedNonIsolatedZero(
-                f"{nearby} converged zeros within {CLUSTER_RADIUS} of {z}")
+    zeros = _distinct(converged, "converged zeros")
     records = []
     kept = []
     for z in zeros:
@@ -192,8 +222,7 @@ def find_interior_zeros(M, v, depth=9, paranoid=False):
 
 def _isolation_radius_interior(M, v, z, all_zeros):
     sphere = unit_sphere_samples(M.n)
-    sep = min((np.linalg.norm(z - w) for w in all_zeros
-               if np.linalg.norm(z - w) > 0), default=np.inf)
+    sep = _separation(z, all_zeros)
     r = 1.0
     for _ in range(45):
         pts = z[None, :] + r * sphere
@@ -210,8 +239,7 @@ def _isolation_radius_interior(M, v, z, all_zeros):
 # Boundary tangential zeros
 # --------------------------------------------------------------------------
 
-def find_boundary_tangential_zeros(M, collar, v, resolution=None,
-                                   band=BOUNDARY_BAND, max_seeds=4000):
+def find_boundary_tangential_zeros(M, collar, v, resolution=None):
     if M.n == 1:
         return _endpoint_records(M, collar, v)
     pts = surface_samples(M, resolution)
@@ -235,33 +263,25 @@ def find_boundary_tangential_zeros(M, collar, v, resolution=None,
         raise NotTame("tangential component vanishes identically on the boundary",
                       uniform_sign=uniform)
     order = np.argsort(par_norm)
-    seeds = pts[order[:max_seeds]]
+    seeds = pts[order[:MAX_SEEDS]]
     converged = _polish_boundary(M, collar, v, seeds, scale)
-    zeros = _dedup(sorted(map(tuple, converged)))
-    for z in zeros:
-        nearby = sum(1 for w in zeros if np.linalg.norm(z - w) < CLUSTER_RADIUS)
-        if nearby > 8:
-            raise SuspectedNonIsolatedZero(
-                f"{nearby} tangential zeros within {CLUSTER_RADIUS} of {z}")
+    zeros = _distinct(converged, "tangential zeros")
     records = []
     for z in zeros:
         if np.linalg.norm(v.value_at(z)) < ZERO_NORM_TOL:
             raise ZeroOnBoundary(f"field vanishes on the boundary at {z}")
-        rec = _boundary_record(M, collar, v, z, zeros, scale)
-        records.append(rec)
+        records.append(_boundary_record(M, collar, v, z, zeros))
     records.sort(key=lambda rec: tuple(rec.position))
     return records
 
 
-def _polish_boundary(M, collar, v, seeds, scale, max_iter=35):
+def _polish_boundary(M, collar, v, seeds, scale):
     n = M.n
     if len(seeds) == 0:
         return []
     _, grads = M.g.jets(seeds)
     dropped = np.argmax(np.abs(grads), axis=-1)
     out = []
-    h = 1e-6
-    cap = 0.03 * M.diameter
     for axis in range(n):
         x = seeds[dropped == axis]
         if len(x) == 0:
@@ -275,27 +295,8 @@ def _polish_boundary(M, collar, v, seeds, scale, max_iter=35):
             v_par, _ = decompose_batch(collar, xv, gg, vv)
             return np.concatenate([gv[:, None], v_par[:, kept]], axis=-1)
 
-        # a seed is frozen once its own (uncapped) step settles
-        moving = np.arange(len(x))
-        for _ in range(max_iter):
-            xm = x[moving]
-            f0 = system(xm)
-            cols = []
-            for i in range(n):
-                dx = np.zeros(n)
-                dx[i] = h
-                cols.append((system(xm + dx) - system(xm - dx)) / (2 * h))
-            jac = np.stack(cols, axis=-1)
-            dets = np.abs(np.linalg.det(jac))
-            ok = dets > 1e-300
-            step = np.zeros_like(f0)
-            step[ok] = np.linalg.solve(jac[ok], f0[ok][..., None])[..., 0]
-            norms = np.linalg.norm(step, axis=-1, keepdims=True)
-            step *= np.minimum(1.0, cap / np.maximum(norms, 1e-300))
-            x[moving] = xm - step
-            moving = moving[norms[:, 0] >= 1e-14]
-            if len(moving) == 0:
-                break
+        x = _newton_polish(system, lambda xm: central_difference(system, xm),
+                           x, 35, 0.03 * M.diameter)
         # accept on the full tangential norm, not just the kept components:
         # a seed polished under the wrong dropped axis can zero its kept
         # components while the remaining tangential component stays nonzero
@@ -308,14 +309,12 @@ def _polish_boundary(M, collar, v, seeds, scale, max_iter=35):
     return out
 
 
-def _boundary_record(M, collar, v, z, all_zeros, scale):
+def _boundary_record(M, collar, v, z, all_zeros):
     chart = boundary_chart(M, z)
     vals = v.value_at(z)
     _, grads = M.g.jets(z[None, :])
-    grad = grads[0]
-    v_par, v_perp = decompose_batch(collar, z[None, :], grads, vals[None, :])
-    v_perp = float(v_perp[0])
-    sign = inwardness(v_perp / np.linalg.norm(grad))
+    v_perp = float(collar.transverse(z[None, :], grads, vals[None, :])[0])
+    sign = inwardness(v_perp / np.linalg.norm(grads[0]))
     det = _chart_jacobian_det(M, collar, v, chart)
     r = _isolation_radius_boundary(M, collar, v, chart, z, all_zeros)
     return ZeroRecord(z, BOUNDARY_TANGENTIAL, r, det, sign, v_perp)
@@ -334,14 +333,8 @@ def chart_tangential_field(M, collar, v, chart):
 
 def _chart_jacobian_det(M, collar, v, chart):
     f = chart_tangential_field(M, collar, v, chart)
-    k = M.n - 1
-    h = min(1e-6, 0.01 * chart.radius)
-    cols = []
-    for i in range(k):
-        du = np.zeros(k)
-        du[i] = h
-        cols.append((f(du[None, :]) - f(-du[None, :]))[0] / (2 * h))
-    jac = np.stack(cols, axis=-1)
+    h = min(FD_STEP, 0.01 * chart.radius)
+    jac = central_difference(f, np.zeros((1, M.n - 1)), h)[0]
     return float(np.linalg.det(jac))
 
 
@@ -352,8 +345,7 @@ def _isolation_radius_boundary(M, collar, v, chart, z, all_zeros):
     else:
         th = 2.0 * np.pi * np.arange(32) / 32
         ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    sep = min((np.linalg.norm(z - w) for w in all_zeros
-               if np.linalg.norm(z - w) > 0), default=np.inf)
+    sep = _separation(z, all_zeros)
     r = chart.radius
     for _ in range(45):
         if r < 0.45 * sep:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vfindex
 from vfindex import cli
 from vfindex.errors import SceneParseError, SchemaError
 
@@ -119,3 +124,39 @@ def test_missing_keys_named(tmp_path):
     with pytest.raises(SchemaError) as info:
         cli.load_scene(str(s))
     assert info.value.key == "manifold"
+
+
+@pytest.mark.parametrize("scene, section, key, value", [
+    ("torus2_complex", "field", "xi", 5),
+    ("ball2_constant", "manifold", "bbox", [["a", 1.5], [-1.5, 1.5]]),
+    ("ball2_constant", "manifold", "g", 7),
+    ("ball2_constant", "field", "v", [1, 0]),
+], ids=["xi", "bbox", "g", "v"])
+def test_malformed_scene_values_exit_2(tmp_path, capsys, scene, section,
+                                       key, value):
+    data = json.loads((Path(vfindex.__file__).parent / "scenes"
+                       / f"{scene}.scene").read_text())
+    data[section][key] = value
+    bad = tmp_path / "bad.scene"
+    bad.write_text(json.dumps(data))
+    assert run(["index", str(bad)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert key in err["message"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_is_quiet(flags):
+    """``vfindex catalog | head -1``: the reader goes before the output
+    is written, whether that write happens in print or in the last flush."""
+    env = dict(os.environ, PYTHONPATH=str(Path(vfindex.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "vfindex.cli", "catalog"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0

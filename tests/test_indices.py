@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from vfindex.cli import load_scene
 from vfindex.expr import parse
 from vfindex.fields import ExpressionField
-from vfindex.indices import (HalfInteger, full_index, hypersurface_index)
+from vfindex.indices import (HalfInteger, boundary_tangential_degree,
+                             full_index, hypersurface_index)
 from vfindex.manifold import Collar, DomainManifold, Hypersurface
+from vfindex.zerofind import find_boundary_tangential_zeros
 
 COLLAR = Collar("neg_g")
 
@@ -146,3 +149,18 @@ def test_hypersurface_index_torus():
         T, COLLAR, ExpressionField.parse(["1", "0", "0"]))
     assert total == 0
     assert sorted(degs) == [-1, -1, 1, 1]
+
+
+@pytest.mark.parametrize("scene", [
+    "ball2_constant", "ball2_saddle", "ball3_constant", "disk2holes_constant",
+    "solid_torus_constant", "spherical_shell_constant", "sphere2_real"])
+def test_chart_jacobian_sign_is_the_tangential_degree(scene):
+    """At a nondegenerate tangential zero the degree in the chart is the
+    sign of the chart Jacobian determinant the record carries."""
+    sc = load_scene(scene)
+    records = find_boundary_tangential_zeros(sc.manifold, COLLAR, sc.field)
+    assert records
+    for rec in records:
+        k = boundary_tangential_degree(sc.manifold, COLLAR, sc.field, rec)
+        assert abs(rec.jacobian_det) > 0.1
+        assert np.sign(rec.jacobian_det) == k

@@ -21,16 +21,9 @@ def test_domain_must_fit_in_bbox():
         mf.DomainManifold(parse("x1^2 + x2^2 - 9", 2), 2, [[-1.5, 1.5]] * 2)
 
 
-def test_classify():
-    M = disk()
-    assert mf.classify(M, np.array([0.0, 0.0])) == "Interior"
-    assert mf.classify(M, np.array([1.0, 0.0])) == "Boundary"
-    assert mf.classify(M, np.array([1.2, 0.0])) == "Outside"
-
-
 def test_projection_lands_on_boundary():
     M = disk()
-    p = mf.project_to_boundary(M, np.array([0.3, 0.2]))
+    (p,) = mf.project_batch(M, np.array([[0.3, 0.2]]))
     assert abs(M.g.evaluate(p)) < 1e-10
     # projection along the gradient keeps the direction for a round g
     assert p == pytest.approx(np.array([0.3, 0.2]) / np.hypot(0.3, 0.2))
@@ -39,9 +32,10 @@ def test_projection_lands_on_boundary():
 def test_decompose_is_orthogonal_split():
     M = disk()
     collar = mf.Collar("neg_g")
-    p = np.array([0.0, 1.0])
-    vec = np.array([0.7, -0.4])
-    v_par, v_perp = mf.decompose(M, collar, p, vec)
+    p = np.array([[0.0, 1.0]])
+    vec = np.array([[0.7, -0.4]])
+    _, grads = M.g.jets(p)
+    (v_par,), (v_perp,) = mf.decompose_batch(collar, p, grads, vec)
     assert v_par == pytest.approx([0.7, 0.0])
     # v_perp = -grad g . v = -(0, 2).(0.7, -0.4) = 0.8 > 0: inward
     assert v_perp == pytest.approx(0.8)
@@ -67,7 +61,8 @@ def test_boundary_chart_roundtrip():
     u = np.array([[0.05, -0.08]])
     x = chart.point(u)
     assert abs(M.g.evaluate(x[0])) < 1e-10
-    assert chart.params_of(x) == pytest.approx(u, abs=1e-12)
+    params = x[:, chart.kept_axes] - center[chart.kept_axes]
+    assert params == pytest.approx(u, abs=1e-12)
 
 
 def test_chart_shrinks_or_raises():
