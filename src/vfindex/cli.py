@@ -66,6 +66,29 @@ def _expression_texts(texts, n, key):
     return texts
 
 
+# options with a fixed type, from a scene or a flag: (check, what the value
+# must be)
+_OPTION_CHECKS = {
+    "seed": (lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
+    "depth": (lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
+    "resolution": (lambda x: x is None or (_is_int(x) and x >= 1),
+                   "an integer >= 1 or null"),
+    "auto_tame": (lambda x: isinstance(x, bool), "true or false"),
+}
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_option(name, value, where, key):
+    if name in _OPTION_CHECKS:
+        ok, what = _OPTION_CHECKS[name]
+        if not ok(value):
+            raise SchemaError(f"{where} must be {what}, got {value!r}",
+                              key=key)
+
+
 def load_scene(spec) -> Scene:
     """Build a Scene from a bundled name or a path to a .scene JSON file."""
     text = _read_scene_text(spec)
@@ -117,6 +140,8 @@ def load_scene(spec) -> Scene:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise SchemaError("options must be an object", key="options")
+    for name, value in options.items():
+        _check_option(name, value, f"options.{name}", "options")
     return Scene(data["name"], kind, M, field, cfield, options,
                  data.get("note", ""))
 
@@ -135,9 +160,11 @@ def write_report(obj, out=None):
 # --------------------------------------------------------------------------
 
 def _opt(args, scene, name, default):
-    """CLI flag if given, else the scene's options entry, else the default."""
+    """CLI flag if given, else the scene's options entry, else the default.
+    A flag is checked here, a scene entry by ``load_scene``."""
     val = getattr(args, name, None)
     if val is not None:
+        _check_option(name, val, f"--{name}", name)
         return val
     return (scene.options or {}).get(name, default)
 

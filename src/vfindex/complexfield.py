@@ -33,6 +33,10 @@ from .manifold import Hypersurface, surface_samples
 SAFETY = 2.0
 COVERING_FACTOR = np.sqrt(3.0) / 2.0
 RESOLUTIONS = (48, 96, 192)
+# a witness decides "q vanishes" below this fraction of the median |q|
+WITNESS_TOL = 1e-3
+# |Re q| at or below this reads as 0 in ``partition``
+PARTITION_TOL = 1e-9
 
 
 @dataclass
@@ -72,12 +76,12 @@ def xi1_family(xi_t, eta_t, t, sign=+1):
     return (1.0 - s) * xi_t + sign * s * eta_t
 
 
-def partition(cf: ComplexField, pts, tol=1e-9):
+def partition(cf: ComplexField, pts):
     """Labels '+', '-', '0' by the sign of |xi_T|^2 - |eta_T|^2."""
     re = cf.square_norm(pts).real
     out = np.full(len(re), "0", dtype="<U1")
-    out[re > tol] = "+"
-    out[re < -tol] = "-"
+    out[re > PARTITION_TOL] = "+"
+    out[re < -PARTITION_TOL] = "-"
     return out
 
 
@@ -107,14 +111,14 @@ def _lipschitz_estimate(cf, pts, h):
     return float(np.max(np.abs(central_difference(cf.square_norm, sub, h))))
 
 
-def complex_verdict(cf: ComplexField, witness_tol=1e-3):
+def complex_verdict(cf: ComplexField):
     """Certify q nonvanishing or exhibit a near-zero witness, then compare
     with chi of the surface.
 
     Certification is sampling-based: the minimum of |q| over a pitch-dense
     net of the surface must exceed SAFETY * (net covering radius) * (sampled
     Lipschitz bound).  A witness decides the other way once |q| drops below
-    witness_tol times the median of |q|.
+    WITNESS_TOL times the median of |q|.
     """
     S = cf.surface
     for res in RESOLUTIONS:
@@ -135,7 +139,7 @@ def complex_verdict(cf: ComplexField, witness_tol=1e-3):
                 threshold=threshold, resolution=res, chi=chi,
                 consistent=(chi == 0),
                 note="certified nonvanishing, chi must be 0")
-        if min_abs < witness_tol * scale:
+        if min_abs < WITNESS_TOL * scale:
             w = pts[int(np.argmin(absq))]
             return SquareNormVerdict(
                 nonvanishing=False, decided=True, min_abs=min_abs,

@@ -16,7 +16,11 @@ import numpy as np
 from .errors import (NoRegularValue, ResolutionExhausted, VanishingOnSphere)
 
 RESIDUAL_LIMIT = 0.1
+# S^1: samples of the first winding pass, doubled until the steps are small
+S1_SAMPLES = 64
 MAX_WINDING_SAMPLES = 2 ** 20
+# S^2: icosphere level of the first pass, refined until the residual is small
+S2_START_LEVEL = 5
 MAX_ICO_LEVEL = 8
 
 
@@ -65,8 +69,8 @@ def _wrap(d):
     return w
 
 
-def degree_s1(m: SphereMap, initial_samples: int = 64) -> DegreeResult:
-    n = max(8, int(initial_samples))
+def degree_s1(m: SphereMap) -> DegreeResult:
+    n = S1_SAMPLES
     while n <= MAX_WINDING_SAMPLES:
         th = 2.0 * np.pi * np.arange(n) / n
         u = m.sample(np.stack([np.cos(th), np.sin(th)], axis=-1))
@@ -137,8 +141,8 @@ def _solid_angle_sum(u, faces):
     return float(np.sum(2.0 * np.arctan2(det, denom)))
 
 
-def degree_s2(m: SphereMap, subdivision_level: int = 5) -> DegreeResult:
-    for level in range(subdivision_level, MAX_ICO_LEVEL + 1):
+def degree_s2(m: SphereMap) -> DegreeResult:
+    for level in range(S2_START_LEVEL, MAX_ICO_LEVEL + 1):
         verts, faces = _icosphere(level)
         u = m.sample(verts)
         raw = _solid_angle_sum(u, faces) / (4.0 * np.pi)

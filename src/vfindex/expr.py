@@ -1,13 +1,25 @@
-"""Scalar expressions over x1..xn with exact forward-mode first derivatives.
+"""Scalar expressions over x1..xn with exact first derivatives.
 
 The grammar is infix with standard precedence; ``^`` binds tightest and only
 accepts a nonnegative integer literal exponent, which keeps differentiation
 total and exact.  Admitted primitives are smooth: + - * / ^ unary minus and
 sin, cos, exp, sqrt.  Evaluation is vectorized over numpy point batches.
+A constant evaluates to a numpy scalar; the public ``Expression`` methods
+broadcast a result that is not batch-shaped to the batch.
+
+Derivatives come in two forms.  ``jets`` is forward mode: each node returns
+its value together with its gradient, so subexpressions are evaluated once.
+``Node.diff(i)`` is symbolic: it builds the partial derivative as a new
+tree, folding constants as it goes (``0`` terms are dropped, ``1`` factors
+and products of constants are folded), and ``Expression.derivatives`` caches
+the n derivative expressions.  Being expressions themselves they have
+values, jets and intervals, which gives exact second derivatives (the
+Hessian of g) and exact Jacobians of expression fields.
 
 sqrt at exactly 0 evaluates to value 0 with zero partials; this makes
 fields such as ``sqrt(x1^2+x2^2)*x1`` C^1 at the origin with the expected
-zero derivative.
+zero derivative.  The symbolic derivative keeps this: d sqrt(a) is
+``SqrtSlope(a) * da``, and ``SqrtSlope`` reads 0 where a == 0.
 
 ``interval`` is the natural interval extension over a batch of boxes.  numpy
 has no directed rounding, so every rounded endpoint is widened outward with
@@ -18,6 +30,7 @@ bounds enclose every value of the expression on the box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,20 +113,27 @@ class Node:
         an (m, n) array; returns two (m,) arrays."""
         raise NotImplementedError
 
+    def diff(self, i):
+        """The partial derivative in x{i+1} as a node, constants folded."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Const(Node):
     v: float
 
     def val(self, x):
-        return np.full(x.shape[:-1], self.v)
+        return np.float64(self.v)
 
     def jet(self, x):
-        return np.full(x.shape[:-1], self.v), np.zeros_like(x)
+        return np.float64(self.v), 0.0
 
     def interval(self, lo, hi):
         v = np.full(lo.shape[:-1], self.v)
         return v, v
+
+    def diff(self, i):
+        return _ZERO
 
     def __str__(self):
         return _fmt(self.v)
@@ -133,6 +153,9 @@ class Var(Node):
 
     def interval(self, lo, hi):
         return lo[..., self.i], hi[..., self.i]
+
+    def diff(self, i):
+        return _ONE if i == self.i else _ZERO
 
     def __str__(self):
         return f"x{self.i + 1}"
@@ -157,6 +180,9 @@ class Add(Node):
         blo, bhi = self.b.interval(lo, hi)
         return _outward(alo + blo, ahi + bhi)
 
+    def diff(self, i):
+        return _add(self.a.diff(i), self.b.diff(i))
+
 
 @dataclass(frozen=True)
 class Sub(Node):
@@ -177,6 +203,9 @@ class Sub(Node):
         blo, bhi = self.b.interval(lo, hi)
         return _outward(alo - bhi, ahi - blo)
 
+    def diff(self, i):
+        return _sub(self.a.diff(i), self.b.diff(i))
+
 
 @dataclass(frozen=True)
 class Mul(Node):
@@ -196,6 +225,9 @@ class Mul(Node):
         alo, ahi = self.a.interval(lo, hi)
         blo, bhi = self.b.interval(lo, hi)
         return _hull(alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+
+    def diff(self, i):
+        return _add(_mul(self.a.diff(i), self.b), _mul(self.a, self.b.diff(i)))
 
 
 @dataclass(frozen=True)
@@ -227,6 +259,10 @@ class Div(Node):
         spans_zero = (blo <= 0.0) & (bhi >= 0.0)
         return (np.where(spans_zero, -np.inf, qlo),
                 np.where(spans_zero, np.inf, qhi))
+
+    def diff(self, i):
+        # (a' - (a/b) b') / b, the form of the jet
+        return _div(_sub(self.a.diff(i), _mul(self, self.b.diff(i))), self.b)
 
 
 def _int_power(a, k):
@@ -276,6 +312,10 @@ class Pow(Node):
                         np.where(ahi < 0.0, lo_up, np.maximum(lo_up, hi_up)))
         return np.maximum(low, 0.0), high
 
+    def diff(self, i):
+        return _mul(_mul(Const(float(self.k)), _pow(self.a, self.k - 1)),
+                    self.a.diff(i))
+
 
 @dataclass(frozen=True)
 class Neg(Node):
@@ -292,6 +332,9 @@ class Neg(Node):
     def interval(self, lo, hi):
         alo, ahi = self.a.interval(lo, hi)
         return -ahi, -alo
+
+    def diff(self, i):
+        return _neg(self.a.diff(i))
 
 
 @dataclass(frozen=True)
@@ -344,6 +387,133 @@ class Fun(Node):
         slo, shi = _outward(np.sqrt(np.maximum(alo, 0.0)),
                             np.sqrt(np.maximum(ahi, 0.0)))
         return np.maximum(slo, 0.0), shi
+
+    def diff(self, i):
+        da = self.a.diff(i)
+        if self.name == "sin":
+            return _mul(Fun("cos", self.a), da)
+        if self.name == "cos":
+            return _neg(_mul(Fun("sin", self.a), da))
+        if self.name == "exp":
+            return _mul(self, da)
+        return _mul(SqrtSlope(self.a), da)
+
+
+@dataclass(frozen=True)
+class SqrtSlope(Node):
+    """d sqrt(a) / da = 1 / (2 sqrt(a)), read as 0 where a == 0: the
+    derivative node of sqrt, with the kink convention of ``Fun.jet``.
+    Like sqrt, an argument slightly below 0 reads as 0.  It has no
+    ``diff``: second derivatives come from the jets of a derivative."""
+
+    a: Node
+
+    def _slope(self, va):
+        if np.any(va < -SQRT_NEG_TOL):
+            raise DomainError("sqrt of negative argument")
+        va = np.maximum(va, 0.0)
+        at_kink = va == 0.0
+        safe = np.where(at_kink, 1.0, va)
+        return np.where(at_kink, 0.0, 0.5 / np.sqrt(safe))
+
+    def val(self, x):
+        return self._slope(self.a.val(x))
+
+    def jet(self, x):
+        va, ga = self.a.jet(x)
+        s = self._slope(va)
+        # d/da (1 / (2 sqrt(a))) = -2 s^3, which is 0 at the kink too
+        return s, (-2.0 * s * s * s)[..., None] * ga
+
+    def interval(self, lo, hi):
+        alo, ahi = self.a.interval(lo, hi)
+        alo, ahi = np.maximum(alo, 0.0), np.maximum(ahi, 0.0)
+        with np.errstate(divide="ignore"):
+            slo, shi = _outward(0.5 / np.sqrt(ahi), 0.5 / np.sqrt(alo), 2)
+        # decreasing in a > 0; an interval that reaches a == 0 holds the
+        # kink value 0 and, if it goes above 0, values without bound
+        low = np.where(alo > 0.0, np.maximum(slo, 0.0), 0.0)
+        high = np.where(alo > 0.0, shi, np.where(ahi > 0.0, np.inf, 0.0))
+        return low, high
+
+
+# --------------------------------------------------------------------------
+# Folding constructors of derivative trees
+# --------------------------------------------------------------------------
+
+_ZERO, _ONE = Const(0.0), Const(1.0)
+
+
+def _is_const(node, value=None):
+    return isinstance(node, Const) and (value is None or node.v == value)
+
+
+def _add(a, b):
+    if _is_const(a) and _is_const(b):
+        return Const(a.v + b.v)
+    if _is_const(a, 0.0):
+        return b
+    if _is_const(b, 0.0):
+        return a
+    return Add(a, b)
+
+
+def _sub(a, b):
+    if _is_const(a) and _is_const(b):
+        return Const(a.v - b.v)
+    if _is_const(b, 0.0):
+        return a
+    if _is_const(a, 0.0):
+        return _neg(b)
+    return Sub(a, b)
+
+
+def _neg(a):
+    if _is_const(a):
+        return Const(-a.v)
+    if isinstance(a, Neg):
+        return a.a
+    return Neg(a)
+
+
+def _coefficient(node):
+    """(c, rest) with node = c * rest; rest is None for a constant."""
+    if isinstance(node, Const):
+        return node.v, None
+    if isinstance(node, Mul) and isinstance(node.a, Const):
+        return node.a.v, node.b
+    if isinstance(node, Neg):
+        c, rest = _coefficient(node.a)
+        return -c, rest
+    return 1.0, node
+
+
+def _mul(a, b):
+    """a * b with the constant factors of both multiplied into one leading
+    constant, which is dropped when it is 1; a 0 factor gives 0."""
+    ca, ra = _coefficient(a)
+    cb, rb = _coefficient(b)
+    c = ca * cb
+    if c == 0.0 or (ra is None and rb is None):
+        return Const(c)
+    rest = rb if ra is None else ra if rb is None else Mul(ra, rb)
+    if c == 1.0:
+        return rest
+    return _neg(rest) if c == -1.0 else Mul(Const(c), rest)
+
+
+def _div(a, b):
+    if _is_const(a, 0.0) or _is_const(b, 1.0):
+        return a
+    return Div(a, b)
+
+
+def _pow(a, k):
+    if k == 0:
+        return _ONE
+    if k == 1:
+        return a
+    return Pow(a, k)
 
 
 # --------------------------------------------------------------------------
@@ -525,7 +695,7 @@ class Expression:
 
     def evaluate(self, point) -> float:
         x = self._points(point)
-        v = self.root.val(x)
+        v = _batch_shaped(self.root.val(x), x.shape[:-1])
         if not np.all(np.isfinite(v)):
             raise DomainError("non-finite value in evaluation")
         return float(v) if x.ndim == 1 else v
@@ -535,7 +705,9 @@ class Expression:
         return self.evaluate(points)
 
     def _jet(self, point):
-        v, g = self.root.jet(self._points(point))
+        x = self._points(point)
+        v, g = self.root.jet(x)
+        v, g = _batch_shaped(v, x.shape[:-1]), _batch_shaped(g, x.shape)
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(g))):
             raise DomainError("non-finite value in jet evaluation")
         return v, g
@@ -555,6 +727,21 @@ class Expression:
         """Outward-rounded bounds (l, u) of the values over a batch of boxes
         lo <= x <= hi, given as (m, n) arrays of corners."""
         return self.root.interval(self._points(lo), self._points(hi))
+
+    @cached_property
+    def derivatives(self):
+        """The n first partial derivatives, in x1..xn, as expressions of
+        the same arity; built once."""
+        return tuple(Expression(self.root.diff(i), self.arity)
+                     for i in range(self.arity))
+
+
+def _batch_shaped(a, shape):
+    """a broadcast to shape as a new array, unless it has that shape; a
+    constant node returns a scalar."""
+    if np.shape(a) == shape:
+        return a
+    return np.array(np.broadcast_to(a, shape))
 
 
 def parse(text: str, arity: int) -> Expression:

@@ -2,17 +2,17 @@
 
 Two concrete kinds are used throughout:
 
-* ``ExpressionField`` -- n expression-backed components with exact Jacobians
-  from forward-mode jets; this is what scene files produce.
+* ``ExpressionField`` -- n expression-backed components with exact Jacobians,
+  the values of the components' derivative expressions; this is what scene
+  files produce.
 * ``CallableField`` -- components given by a vectorized callable, with a
   central finite-difference Jacobian.  Perturbed fields built by the
   verification layer are of this kind (their cutoff factors have no closed
   expression in the parser grammar).
 
 ``central_difference`` is the one finite-difference Jacobian of the
-package: callable fields, the boundary Newton polish, the chart Jacobian of
-a boundary zero and the Lipschitz estimate of the square norm all use it,
-with step ``FD_STEP`` unless their scale asks for a smaller one.
+package.  Its users are the Jacobian of a callable field (with step
+``FD_STEP``) and the Lipschitz estimate of the complex square norm.
 
 All evaluation is batched: ``value`` maps an (m, n) array of points to an
 (m, n) array of vectors and ``jacobian`` to (m, n, n) matrices.
@@ -99,9 +99,11 @@ class ExpressionField(VectorField):
         return np.stack([c.values(x) for c in self.components], axis=-1)
 
     def jacobian(self, x):
+        """Exact: the values of the components' derivative expressions."""
         x = np.asarray(x, float)
-        rows = [c.jets(x)[1] for c in self.components]
-        return np.stack(rows, axis=-2)
+        return np.stack([np.stack([d.values(x) for d in c.derivatives],
+                                  axis=-1) for c in self.components],
+                        axis=-2)
 
     def zero_free(self, lo, hi, paranoid=False):
         """Proved: some component's interval bound excludes 0."""

@@ -23,7 +23,9 @@ from .degree import SphereMap, degree_for
 from .errors import (DegreeUnstable, NoConvergence, NotTame,
                      ResolutionExhausted, VanishingOnSphere, ZeroOnBoundary)
 from .euler import chi_boundary_for, chi_for
-from .manifold import INWARD, OUTWARD, TANGENT, Hypersurface, boundary_chart
+from .manifold import INWARD, OUTWARD, TANGENT, Hypersurface
+# unused here; benchmarks/layers.py wraps indices.boundary_chart by name
+from .manifold import boundary_chart  # noqa: F401
 from .zerofind import (ZeroRecord, chart_tangential_field,
                        find_boundary_tangential_zeros, find_interior_zeros)
 
@@ -149,7 +151,11 @@ class IndexReport:
         }
 
 
-def _stable_degree(make_map, r0, where, halvings=6):
+# radius halvings _stable_degree tries after the first radius
+DEGREE_HALVINGS = 6
+
+
+def _stable_degree(make_map, r0, where):
     """Degree on spheres of shrinking radius, accepted once two consecutive
     radii agree.
 
@@ -161,7 +167,7 @@ def _stable_degree(make_map, r0, where, halvings=6):
     """
     r = r0
     prev = None
-    for _ in range(halvings + 1):
+    for _ in range(DEGREE_HALVINGS + 1):
         try:
             cur = degree_for(make_map(r)).degree
         except (NoConvergence, VanishingOnSphere):
@@ -171,7 +177,7 @@ def _stable_degree(make_map, r0, where, halvings=6):
         prev = cur
         r *= 0.5
     raise DegreeUnstable(
-        f"degree at {where} did not stabilize over {halvings} radius "
+        f"degree at {where} did not stabilize over {DEGREE_HALVINGS} radius "
         f"halvings from {r0}")
 
 
@@ -182,13 +188,14 @@ def interior_index(M, v, record):
 
 
 def boundary_tangential_degree(M, collar, v, record):
-    """Degree k of the tangential part around a boundary zero (chart chart).
+    """Degree k of the tangential part around a boundary zero, in the chart
+    the record carries.
 
     For n = 1 the relevant sphere is empty and the degree is 1 by convention.
     """
     if M.n == 1:
         return 1
-    chart = boundary_chart(M, record.position)
+    chart = record.chart
     f = chart_tangential_field(M, collar, v, chart)
     r = min(record.isolation_radius, chart.radius)
     center = np.zeros(M.n - 1)

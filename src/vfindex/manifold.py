@@ -32,6 +32,8 @@ SLAB_POINTS = 65_536
 INWARD = "Inward"
 OUTWARD = "Outward"
 TANGENT = "Tangent"
+# |v_perp| / |grad g| at or below this reads as tangent
+INWARDNESS_TOL = 1e-10
 
 
 def _bbox_array(bbox, n):
@@ -237,10 +239,10 @@ def decompose_batch(collar, pts, grads, vecs):
     return v_par, v_perp
 
 
-def inwardness(v_perp, tol=1e-10):
-    if v_perp > tol:
+def inwardness(v_perp):
+    if v_perp > INWARDNESS_TOL:
         return INWARD
-    if v_perp < -tol:
+    if v_perp < -INWARDNESS_TOL:
         return OUTWARD
     return TANGENT
 

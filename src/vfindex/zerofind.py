@@ -16,19 +16,30 @@ component.
 Both searches polish with the one batched Newton loop, ``_newton_polish``,
 which stops each point once its own step settles.  The interior search
 gives it the field's value and Jacobian; the boundary search gives it the
-augmented system and that system's central-difference Jacobian.  Both then
+augmented system together with that system's exact Jacobian,
+``_boundary_system``: row 0 is grad g, and the tangential part
+v_par = v - (v.n)n, n = grad g / |grad g|, has
+
+    D(v_par) = Dv - n (n^T Dv + v^T Dn) - (v.n) Dn,
+    Dn = (I - n n^T) H / |grad g|,
+
+with H the Hessian of g from the jets of g's derivative expressions.  Dv is
+the field's own Jacobian (exact for expression fields).  Both searches then
 reduce the converged points to distinct zeros with ``_distinct``.
+
+Each boundary zero carries the graph chart built for it, which its degree
+reuses.  The chart Jacobian determinant of the tangential part follows from
+that Jacobian at the zero by the chain rule through the chart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (NoConvergence, ResolutionExhausted,
                      SuspectedNonIsolatedZero, NotTame, ZeroOnBoundary)
-from .fields import FD_STEP, central_difference
 from .manifold import (BOUNDARY_BAND, INWARD, OUTWARD, TANGENT,
                        boundary_chart, decompose_batch, inwardness,
                        surface_samples, interval_endpoints)
@@ -53,6 +64,9 @@ class ZeroRecord:
     jacobian_det: float
     transverse_sign: str = None  # boundary kind only
     v_perp: float = 0.0
+    # the boundary chart at the zero, shared by the record and its degree;
+    # not part of the report
+    chart: object = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
         d = {
@@ -93,19 +107,18 @@ def tangential_at(M, collar, v, x):
 # Shared by both searches
 # --------------------------------------------------------------------------
 
-def _newton_polish(f, jac, x0, max_iter, step_cap):
-    """Batched Newton on the square system f = 0 from the rows of x0.
+def _newton_polish(system, x0, max_iter, step_cap):
+    """Batched Newton on the square system F = 0 from the rows of x0.
 
-    f maps (m, n) points to (m, n) values and jac to (m, n, n) Jacobians.
-    Each step is capped at ``step_cap`` in length.  A point whose Jacobian
-    is singular stays where it is.
+    system maps (m, n) points to their values F (m, n) and Jacobians DF
+    (m, n, n).  Each step is capped at ``step_cap`` in length.  A point
+    whose Jacobian is singular stays where it is.
     """
     x = np.array(x0, dtype=float)
     moving = np.arange(len(x))
     for _ in range(max_iter):
         xm = x[moving]
-        val = f(xm)
-        jm = jac(xm)
+        val, jm = system(xm)
         ok = np.abs(np.linalg.det(jm)) > 1e-300
         step = np.zeros_like(val)
         step[ok] = np.linalg.solve(jm[ok], val[ok][..., None])[..., 0]
@@ -197,8 +210,8 @@ def find_interior_zeros(M, v, depth=9, paranoid=False):
     if len(lo) == 0:
         return []
     centers = 0.5 * (lo + hi)
-    polished = _newton_polish(v.value, v.jacobian, centers, 90,
-                              0.25 * M.diameter)
+    polished = _newton_polish(lambda x: (v.value(x), v.jacobian(x)),
+                              centers, 90, 0.25 * M.diameter)
     res = v.norms(polished)
     inside = np.all((polished >= M.bbox[:, 0]) & (polished <= M.bbox[:, 1]), axis=-1)
     converged = polished[(res < ZERO_NORM_TOL * 1e-2) & inside]
@@ -288,15 +301,13 @@ def _polish_boundary(M, collar, v, seeds, scale):
             continue
         kept = [i for i in range(n) if i != axis]
 
-        def system(x):
-            xv = np.atleast_2d(x)
-            gv, gg = M.g.jets(xv)
-            vv = v.value(xv)
-            v_par, _ = decompose_batch(collar, xv, gg, vv)
-            return np.concatenate([gv[:, None], v_par[:, kept]], axis=-1)
+        rows = [0] + [1 + i for i in kept]
 
-        x = _newton_polish(system, lambda xm: central_difference(system, xm),
-                           x, 35, 0.03 * M.diameter)
+        def system(xm):
+            val, jac = _boundary_system(M, v, xm)
+            return val[:, rows], jac[:, rows]
+
+        x = _newton_polish(system, x, 35, 0.03 * M.diameter)
         # accept on the full tangential norm, not just the kept components:
         # a seed polished under the wrong dropped axis can zero its kept
         # components while the remaining tangential component stays nonzero
@@ -309,15 +320,37 @@ def _polish_boundary(M, collar, v, seeds, scale):
     return out
 
 
+def _boundary_system(M, v, x):
+    """The augmented system (g, v_par) at the points x, (m, n + 1), and its
+    exact Jacobian (m, n + 1, n): row 0 is grad g, rows 1..n are D(v_par)."""
+    jets = [d.jets(x) for d in M.g.derivatives]
+    grad = np.stack([val for val, _ in jets], axis=-1)
+    hess = np.stack([row for _, row in jets], axis=-2)
+    vals, dv = v.value(x), v.jacobian(x)
+    gnorm = np.linalg.norm(grad, axis=-1)
+    nhat = grad / np.maximum(gnorm, 1e-300)[:, None]
+    # Dn = (I - n n^T) H / |grad g|
+    nh = np.einsum("mi,mij->mj", nhat, hess)
+    dn = (hess - nhat[:, :, None] * nh[:, None, :]) \
+        / np.maximum(gnorm, 1e-300)[:, None, None]
+    # n^T Dv + v^T Dn, the derivative of v.n
+    dvn = np.einsum("mi,mij->mj", nhat, dv) + np.einsum("mi,mij->mj", vals, dn)
+    vn = np.sum(vals * nhat, axis=-1)
+    dpar = dv - nhat[:, :, None] * dvn[:, None, :] - vn[:, None, None] * dn
+    v_par = vals - vn[:, None] * nhat
+    return (np.concatenate([M.g.values(x)[:, None], v_par], axis=-1),
+            np.concatenate([grad[:, None, :], dpar], axis=-2))
+
+
 def _boundary_record(M, collar, v, z, all_zeros):
     chart = boundary_chart(M, z)
     vals = v.value_at(z)
     _, grads = M.g.jets(z[None, :])
     v_perp = float(collar.transverse(z[None, :], grads, vals[None, :])[0])
     sign = inwardness(v_perp / np.linalg.norm(grads[0]))
-    det = _chart_jacobian_det(M, collar, v, chart)
+    det = _chart_jacobian_det(M, v, chart)
     r = _isolation_radius_boundary(M, collar, v, chart, z, all_zeros)
-    return ZeroRecord(z, BOUNDARY_TANGENTIAL, r, det, sign, v_perp)
+    return ZeroRecord(z, BOUNDARY_TANGENTIAL, r, det, sign, v_perp, chart)
 
 
 def chart_tangential_field(M, collar, v, chart):
@@ -331,11 +364,17 @@ def chart_tangential_field(M, collar, v, chart):
     return f
 
 
-def _chart_jacobian_det(M, collar, v, chart):
-    f = chart_tangential_field(M, collar, v, chart)
-    h = min(FD_STEP, 0.01 * chart.radius)
-    jac = central_difference(f, np.zeros((1, M.n - 1)), h)[0]
-    return float(np.linalg.det(jac))
+def _chart_jacobian_det(M, v, chart):
+    """det of d(push v_par)/du at the chart center u = 0.  The graph chart
+    moves the kept axes by u and the dropped axis d so that g stays 0, so
+    dx_d/du_j = -dg/dx_j / dg/dx_d, and the chain rule gives the Jacobian
+    from D(v_par) at the center."""
+    jac = _boundary_system(M, v, chart.center[None, :])[1][0]
+    grad, dpar = jac[0], jac[1:]
+    kept, d = chart.kept_axes, chart.dropped_axis
+    dx_du = np.eye(M.n)[:, kept]
+    dx_du[d] = -grad[kept] / grad[d]
+    return float(np.linalg.det(dpar[kept] @ dx_du))
 
 
 def _isolation_radius_boundary(M, collar, v, chart, z, all_zeros):

@@ -131,17 +131,37 @@ def test_missing_keys_named(tmp_path):
     ("ball2_constant", "manifold", "bbox", [["a", 1.5], [-1.5, 1.5]]),
     ("ball2_constant", "manifold", "g", 7),
     ("ball2_constant", "field", "v", [1, 0]),
-], ids=["xi", "bbox", "g", "v"])
+    ("ball2_constant", "options", "depth", "x"),
+    ("ball2_constant", "options", "depth", -1),
+    ("ball2_constant", "options", "resolution", "x"),
+    ("ball2_constant", "options", "resolution", 2.5),
+    ("ball2_constant", "options", "seed", "x"),
+    ("ball2_constant", "options", "seed", -1),
+    ("ball2_constant", "options", "auto_tame", "yes"),
+    ("ball2_constant", "options", "auto_tame", 1),
+], ids=["xi", "bbox", "g", "v", "depth", "depth-negative", "resolution",
+        "resolution-float", "seed", "seed-negative", "auto_tame",
+        "auto_tame-int"])
 def test_malformed_scene_values_exit_2(tmp_path, capsys, scene, section,
                                        key, value):
     data = json.loads((Path(vfindex.__file__).parent / "scenes"
                        / f"{scene}.scene").read_text())
-    data[section][key] = value
+    data.setdefault(section, {})[key] = value
     bad = tmp_path / "bad.scene"
     bad.write_text(json.dumps(data))
     assert run(["index", str(bad)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert key in err["message"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--resolution", "0"), ("--depth", "-1"), ("--seed", "-1"),
+])
+def test_malformed_option_flags_exit_2(capsys, flag, value):
+    """The flags meet the checks of the scene options."""
+    assert run(["index", "ball2_constant", flag, value]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema_error" and flag in err["message"]
 
 
 @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])

@@ -154,8 +154,11 @@ def test_interval_encloses_sampled_values(text, arity, center, width):
     ilo, ihi = e.interval(lo, hi)
     assert ilo.shape == ihi.shape == (200,)
     pts = _box_samples(rng, lo, hi, 40)
+    flat = pts.reshape(-1, arity)
     with np.errstate(divide="ignore"):
-        vals = e.root.val(pts.reshape(-1, arity)).reshape(200, -1)
+        # a constant root returns a scalar
+        vals = np.broadcast_to(e.root.val(flat), flat.shape[:-1])
+    vals = vals.reshape(200, -1)
     assert np.all(ilo[:, None] <= vals)
     assert np.all(vals <= ihi[:, None])
 
@@ -192,3 +195,181 @@ def test_interval_is_outward_rounded():
     # a point box of an exact expression stays tight up to a few ulps
     lo, hi = ex.parse("x1*x2 - 1", 2).interval(p, p)
     assert hi[0] - lo[0] < 1e-15
+
+
+# --------------------------------------------------------------------------
+# Symbolic derivatives
+# --------------------------------------------------------------------------
+
+def _random_node(rng, arity, depth):
+    """A seeded random tree over every node kind; denominators and sqrt
+    arguments are kept away from 0."""
+    if depth == 0:
+        if rng.uniform() < 0.3:
+            return ex.Const(float(np.round(rng.normal(), 2)))
+        return ex.Var(int(rng.integers(arity)))
+    a = _random_node(rng, arity, depth - 1)
+    b = _random_node(rng, arity, depth - 1)
+    kind = rng.integers(10)
+    if kind == 0:
+        return ex.Add(a, b)
+    if kind == 1:
+        return ex.Sub(a, b)
+    if kind == 2:
+        return ex.Mul(a, b)
+    if kind == 3:
+        return ex.Div(a, ex.Add(ex.Pow(b, 2), ex.Const(1.0)))
+    if kind == 4:
+        return ex.Pow(a, int(rng.integers(4)))
+    if kind == 5:
+        return ex.Neg(a)
+    if kind == 9:
+        return ex.Fun("sqrt", ex.Add(ex.Pow(a, 2), ex.Const(0.5)))
+    return ex.Fun(("sin", "cos", "exp")[kind - 6], ex.Mul(ex.Const(0.5), a))
+
+
+def _nodes(node):
+    yield node
+    for child in vars(node).values():
+        if isinstance(child, ex.Node):
+            yield from _nodes(child)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_diff_matches_jets_and_central_differences(seed):
+    from vfindex.fields import central_difference
+    rng = np.random.default_rng(seed)
+    arity = int(rng.integers(1, 4))
+    e = ex.Expression(_random_node(rng, arity, 4), arity)
+    x = rng.uniform(-1.2, 1.2, size=(32, arity))
+    _, grads = e.jets(x)
+    fd = central_difference(e.values, x)
+    for i in range(arity):
+        d = e.derivatives[i]
+        got = d.values(x)
+        assert got.shape == (32,)
+        assert np.allclose(got, grads[:, i], rtol=1e-9, atol=1e-9)
+        assert np.allclose(got, fd[:, i], rtol=1e-5, atol=1e-5)
+        # the jets of a derivative are second derivatives
+        second = central_difference(lambda y: e.jets(y)[1][:, i], x)
+        assert np.allclose(d.jets(x)[1], second, rtol=1e-5, atol=1e-5)
+
+
+def test_diff_of_every_node_kind():
+    cases = {
+        "2.5": ["0", "0"],
+        "x2": ["0", "1"],
+        "x1 + x2": ["1", "1"],
+        "x1 - x2": ["1", "-1"],
+        "x1*x2": ["x2", "x1"],
+        "x1/x2": ["1/x2", "(0 - x1/x2)/x2"],
+        "x1^3": ["3*x1^2", "0"],
+        "-x1": ["-1", "0"],
+        "sin(x1)": ["cos(x1)", "0"],
+        "cos(x2)": ["0", "-sin(x2)"],
+        "exp(x1*x2)": ["exp(x1*x2)*x2", "exp(x1*x2)*x1"],
+        "sqrt(x1^2 + 1)": ["x1/sqrt(x1^2 + 1)", "0"],
+    }
+    x = np.random.default_rng(3).uniform(0.5, 2.0, size=(16, 2))
+    for text, want in cases.items():
+        e = ex.parse(text, 2)
+        for i in range(2):
+            assert np.allclose(e.derivatives[i].values(x),
+                               ex.parse(want[i], 2).values(x),
+                               rtol=1e-13, atol=1e-13), (text, i)
+
+
+def test_diff_of_sqrt_at_its_kink_reads_zero():
+    e = ex.parse("sqrt(x1^2 + x2^2)*x1 + sqrt(x2^2)", 2)
+    x = np.array([[0.0, 0.0], [0.3, -0.4]])
+    _, grads = e.jets(x)
+    for i in range(2):
+        got = e.derivatives[i].values(x)
+        assert np.all(np.isfinite(got))
+        assert got[0] == 0.0
+        assert got == pytest.approx(grads[:, i], rel=1e-12)
+    # the slope node, its jet and the second derivatives all read 0 there
+    slope = ex.Expression(ex.SqrtSlope(ex.parse("x1^2 + x2^2", 2).root), 2)
+    v, g = slope.jets(x[:1])
+    assert v[0] == 0.0 and np.all(g == 0.0)
+    assert np.all(e.derivatives[0].jets(x[:1])[1] == 0.0)
+
+
+def test_diff_folds_constants():
+    rng = np.random.default_rng(8)
+    from vfindex.fields import random_polynomial_expression
+    for e in [random_polynomial_expression(rng, 3, 3) for _ in range(4)] + [
+            ex.parse("x1^3*x2 - 2*x2^2 + 7 + 1*x1*1", 2)]:
+        for d in e.derivatives:
+            for node in _nodes(d.root):
+                assert not (isinstance(node, ex.Const) and node.v == 0.0)
+                if isinstance(node, ex.Mul):
+                    assert node.a != ex.Const(1.0)
+                    assert node.b != ex.Const(1.0)
+                    assert not isinstance(node.b, ex.Const)
+    assert ex.parse("x1^2", 2).derivatives[1] == ex.Expression(ex.Const(0.0), 2)
+    assert str(ex.parse("3*x1^3*2", 1).derivatives[0]) == "18*x1^2"
+    # the tuple is built once
+    e = ex.parse("x1*x2", 2)
+    assert e.derivatives is e.derivatives
+
+
+@pytest.mark.parametrize("text, arity, center, width", [
+    ("x1^2 + x2^2", 2, 1.0, 1.0),     # boxes around the kink at 0
+    ("x1^2", 1, 1.0, 2.0),
+    ("x1^2 + 4", 1, 3.0, 2.0),
+    ("exp(x1) - 1", 1, 2.0, 1.0),
+])
+def test_sqrt_slope_interval_encloses_sampled_values(text, arity, center,
+                                                      width):
+    rng = np.random.default_rng(12)
+    e = ex.Expression(ex.SqrtSlope(ex.parse(text, arity).root), arity)
+    lo = rng.uniform(-center, center, size=(200, arity))
+    hi = lo + rng.uniform(0.0, width, size=(200, arity))
+    # a box from the kink, and a point box on it
+    lo[0], hi[0] = 0.0, 0.5
+    lo[1], hi[1] = 0.0, 0.0
+    ilo, ihi = e.interval(lo, hi)
+    assert ilo.shape == ihi.shape == (200,)
+    pts = _box_samples(rng, lo, hi, 40)
+    ok = ex.parse(text, arity).values(pts.reshape(-1, arity)) >= 0.0
+    vals = np.where(ok, 0.0, np.nan)
+    vals[ok] = e.values(pts.reshape(-1, arity)[ok])
+    vals = vals.reshape(200, -1)
+    inside = np.isnan(vals) | ((ilo[:, None] <= vals) & (vals <= ihi[:, None]))
+    assert np.all(inside)
+
+
+def test_sqrt_slope_interval_at_the_kink():
+    slope = ex.Expression(ex.SqrtSlope(ex.Var(0)), 1)
+    lo, hi = np.array([[0.0], [0.0], [-1.0], [4.0]]), np.array(
+        [[0.0], [0.25], [0.0], [16.0]])
+    ilo, ihi = slope.interval(lo, hi)
+    # only the kink: exactly 0; from the kink up: unbounded above
+    assert [ilo[0], ihi[0]] == [0.0, 0.0]
+    assert [ilo[1], ihi[1]] == [0.0, np.inf]
+    assert [ilo[2], ihi[2]] == [0.0, 0.0]
+    assert ilo[3] <= 0.125 and 0.25 <= ihi[3] < 0.25 + 1e-15
+
+
+@pytest.mark.parametrize("text", ["2", "-2.5", "x1*0 + 3", "sin(1)*2"])
+def test_constant_rooted_expressions_are_batch_shaped(text):
+    from vfindex.fields import ExpressionField
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 2))
+    e = ex.parse(text, 2)
+    want = float(ex.parse(text, 2).evaluate([0.3, 0.1]))
+    assert e.values(x).shape == (5,)
+    assert np.all(e.values(x) == want)
+    v, g = e.jets(x)
+    assert v.shape == (5,) and g.shape == (5, 2)
+    assert np.all(v == want) and np.all(g == 0.0)
+    for d in e.derivatives:
+        assert d.values(x).shape == (5,)
+    field = ExpressionField.parse([text, "x2"])
+    assert field.value(x).shape == (5, 2)
+    assert np.all(field.value(x)[:, 0] == want)
+    jac = field.jacobian(x)
+    assert jac.shape == (5, 2, 2)
+    assert np.all(jac[:, 0] == 0.0) and np.all(jac[:, 1] == [0.0, 1.0])
+    const_field = ExpressionField.parse([text, "1"])
+    assert np.all(const_field.jacobian(x) == 0.0)

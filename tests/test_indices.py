@@ -164,3 +164,24 @@ def test_chart_jacobian_sign_is_the_tangential_degree(scene):
         k = boundary_tangential_degree(sc.manifold, COLLAR, sc.field, rec)
         assert abs(rec.jacobian_det) > 0.1
         assert np.sign(rec.jacobian_det) == k
+
+
+def test_one_boundary_chart_per_boundary_zero(monkeypatch):
+    """The record's chart serves its degree too: no zero gets a second."""
+    from vfindex import indices, manifold, zerofind
+    calls = []
+
+    def counted(M, center, *args, **kwargs):
+        calls.append(tuple(center))
+        return manifold.boundary_chart(M, center, *args, **kwargs)
+
+    monkeypatch.setattr(zerofind, "boundary_chart", counted)
+    monkeypatch.setattr(indices, "boundary_chart", counted)
+    sc = load_scene("disk2holes_constant")
+    rep = full_index(sc.manifold, COLLAR, sc.field)
+    assert len(rep.boundary) == 6
+    assert len(calls) == len(set(calls)) == len(rep.boundary)
+    calls.clear()
+    sc = load_scene("sphere2_real")
+    total, records, _ = hypersurface_index(sc.manifold, COLLAR, sc.field)
+    assert len(calls) == len(set(calls)) == len(records) > 0

@@ -186,3 +186,48 @@ def test_interval_and_sampled_exclusion_agree():
         assert len(exact) == len(sampled)
         for a, b in zip(exact, sampled):
             assert a.position == pytest.approx(b.position, abs=1e-9)
+
+
+@pytest.mark.parametrize("scene", ["ball2_constant", "annulus_rotational",
+                                   "disk2holes_constant", "sphere2_real",
+                                   "torus2_real"])
+def test_boundary_system_jacobian_matches_central_differences(scene):
+    from vfindex.cli import load_scene
+    from vfindex.fields import central_difference
+    from vfindex.manifold import decompose_batch, surface_samples
+    M = load_scene(scene).manifold
+    rng = np.random.default_rng(31)
+    pts = surface_samples(M, resolution=24)
+    # on the boundary and just off it: the formula needs only grad g != 0
+    x = pts[rng.choice(len(pts), 12, replace=False)]
+    x = np.vstack([x, x + rng.normal(scale=1e-3, size=x.shape)])
+    expression_field = random_polynomial_field(rng, M.n, 3)
+    for v in (expression_field, CallableField(M.n, expression_field.value)):
+
+        def system(y):
+            gv, gg = M.g.jets(y)
+            v_par, _ = decompose_batch(COLLAR, y, gg, v.value(y))
+            return np.concatenate([gv[:, None], v_par], axis=-1)
+
+        values, exact = zf._boundary_system(M, v, x)
+        assert np.allclose(values, system(x), rtol=1e-12, atol=1e-12)
+        fd = central_difference(system, x)
+        assert exact.shape == (len(x), M.n + 1, M.n)
+        scale = np.max(np.abs(fd), axis=(1, 2), keepdims=True)
+        assert np.max(np.abs(exact - fd) / scale) < 1e-6
+
+
+@pytest.mark.parametrize("scene", ["ball2_constant", "disk2holes_constant",
+                                   "ball3_constant", "sphere2_real"])
+def test_chart_jacobian_det_matches_central_differences(scene):
+    from vfindex.cli import load_scene
+    from vfindex.fields import central_difference
+    sc = load_scene(scene)
+    records = zf.find_boundary_tangential_zeros(sc.manifold, COLLAR, sc.field)
+    assert records
+    for rec in records:
+        f = zf.chart_tangential_field(sc.manifold, COLLAR, sc.field,
+                                      rec.chart)
+        fd = central_difference(f, np.zeros((1, sc.manifold.n - 1)), 1e-6)[0]
+        want = np.linalg.det(fd)
+        assert rec.jacobian_det == pytest.approx(want, rel=1e-6)
