@@ -2,11 +2,12 @@
 
 The index of an isolated interior zero is the Brouwer degree of the
 normalized field on a small sphere around it.  A tangential boundary zero
-contributes half of the degree k of the tangential part in a boundary chart,
+contributes half of the degree k of the tangential part on the boundary,
 signed by the transverse direction of the field there: +k/2 when the field
-points inward, -k/2 when it points outward.  Boundary contributions are kept
-as exact half-integers; no floating-point equality tests are involved in the
-final bookkeeping.
+points inward, -k/2 when it points outward.  k, too, is a degree on spheres
+in R^n around the zero, of the augmented map ``zerofind.boundary_map``.
+Boundary contributions are kept as exact half-integers; no floating-point
+equality tests are involved in the final bookkeeping.
 
 The total (interior plus boundary) equals chi(M) in even dimensions and 0 in
 odd dimensions; ``full_index`` computes everything and records whether that
@@ -20,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .degree import SphereMap, degree_for
-from .errors import (DegreeUnstable, NoConvergence, NotTame,
-                     ResolutionExhausted, VanishingOnSphere, ZeroOnBoundary)
+from .errors import (DegreeUnstable, NotTame, ResolutionExhausted,
+                     VanishingOnSphere)
 from .euler import chi_boundary_for, chi_for
-from .manifold import INWARD, OUTWARD, TANGENT, Hypersurface
+from .manifold import INWARD, OUTWARD, Hypersurface
 # unused here; benchmarks/layers.py wraps indices.boundary_chart by name
 from .manifold import boundary_chart  # noqa: F401
-from .zerofind import (ZeroRecord, chart_tangential_field,
+from .zerofind import (ZeroRecord, boundary_map,
                        find_boundary_tangential_zeros, find_interior_zeros)
 
 
@@ -161,16 +162,15 @@ def _stable_degree(make_map, r0, where):
 
     The degree of an isolated zero is radius independent below the isolation
     radius, so shrinking is always legitimate; it guards against an isolation
-    estimate that was slightly too optimistic.  Radii where the evaluation
-    fails (chart projection not converging near the rim) are skipped the same
-    way.
+    estimate that was slightly too optimistic.  A radius where the map
+    vanishes on a sphere sample is skipped the same way.
     """
     r = r0
     prev = None
     for _ in range(DEGREE_HALVINGS + 1):
         try:
             cur = degree_for(make_map(r)).degree
-        except (NoConvergence, VanishingOnSphere):
+        except VanishingOnSphere:
             cur = None
         if cur is not None and cur == prev:
             return cur
@@ -188,19 +188,18 @@ def interior_index(M, v, record):
 
 
 def boundary_tangential_degree(M, collar, v, record):
-    """Degree k of the tangential part around a boundary zero, in the chart
-    the record carries.
+    """Degree k of the tangential part around a boundary zero: the degree
+    of the augmented map F on spheres around it in R^n, times the
+    orientation of its dropped axis (``zerofind.boundary_map``).
 
     For n = 1 the relevant sphere is empty and the degree is 1 by convention.
     """
     if M.n == 1:
         return 1
-    chart = record.chart
-    f = chart_tangential_field(M, collar, v, chart)
-    r = min(record.isolation_radius, chart.radius)
-    center = np.zeros(M.n - 1)
-    return _stable_degree(lambda rr: SphereMap(f, center, rr), r,
-                          record.position)
+    z = record.position
+    F, _, orientation, _ = boundary_map(M, collar, v, z)
+    return orientation * _stable_degree(lambda rr: SphereMap(F, z, rr),
+                                        record.isolation_radius, z)
 
 
 def boundary_zero_index(record, k):
@@ -298,10 +297,18 @@ def hypersurface_index(S, collar, v):
     """Sum of tangential zero indices of v projected onto a closed surface.
 
     v is an ambient field that must not vanish on the surface; its tangential
-    projection may.  The sum equals chi of the surface.
+    projection may.  The sum equals chi of the surface; a census whose
+    degrees do not sum to it is refused, like the chi crosscheck of
+    ``full_index``.
     """
     if not isinstance(S, Hypersurface):
         raise TypeError("hypersurface_index needs a Hypersurface")
     records = find_boundary_tangential_zeros(S, collar, v)
     degrees = [boundary_tangential_degree(S, collar, v, rec) for rec in records]
-    return int(sum(degrees)), records, degrees
+    total = int(sum(degrees))
+    chi = chi_for(S)
+    if total != chi:
+        raise ResolutionExhausted(
+            f"tangential census failed the chi crosscheck: degrees sum to "
+            f"{total} != chi(surface) = {chi}")
+    return total, records, degrees

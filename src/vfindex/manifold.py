@@ -248,7 +248,9 @@ def inwardness(v_perp):
 
 
 # --------------------------------------------------------------------------
-# Boundary charts (graph parameterizations)
+# Boundary charts (graph parameterizations).  No index uses them; they stay
+# because benchmarks/layers.py looks boundary_chart and BoundaryChart.point
+# up by name.
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -266,11 +268,6 @@ class BoundaryChart:
         x[:, self.kept_axes] += u
         x = _solve_dropped(self.M, x, self.dropped_axis)
         return x
-
-    def push(self, vecs):
-        """Pushforward of ambient tangent vectors into chart coordinates."""
-        vecs = np.atleast_2d(np.asarray(vecs, float))
-        return vecs[:, self.kept_axes]
 
 
 def _solve_dropped(M, x, axis, max_iter=40):

@@ -149,15 +149,14 @@ def tameness_status(M, collar, v):
     return _tameness(M, collar, v)[0]
 
 
-def make_tame(M, collar, v, seed=0, always_perturb=False):
+def make_tame(M, collar, v, seed=0):
     """Return a tame field and the list of perturbations applied to get it.
 
     The input is returned unchanged when it is already tame, or when it falls
-    under the exact uniform-transverse special case (unless
-    ``always_perturb`` forces a perturbation).
+    under the exact uniform-transverse special case.
     """
     status = tameness_status(M, collar, v)
-    if status in ("tame", "special") and not always_perturb:
+    if status in ("tame", "special"):
         return v, []
     return _perturb(M, collar, v, status, seed)[:2]
 

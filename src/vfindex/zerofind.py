@@ -27,22 +27,28 @@ with H the Hessian of g from the jets of g's derivative expressions.  Dv is
 the field's own Jacobian (exact for expression fields).  Both searches then
 reduce the converged points to distinct zeros with ``_distinct``.
 
-Each boundary zero carries the graph chart built for it, which its degree
-reuses.  The chart Jacobian determinant of the tangential part follows from
-that Jacobian at the zero by the chain rule through the chart.
+The degree k of the tangential part at a boundary zero z needs no chart.
+Let d be the dropped axis (the steepest of g at z) and F = (g, v_par
+without component d).  Where dg/dx_d keeps its sign, x -> (g, x without
+x_d) is a diffeomorphism with Jacobian determinant (-1)^d dg/dx_d.  It turns
+F into (s, h(u, s)), where h(u, 0) is the tangential part in the graph
+chart, and the homotopy (s, h(u, ts)) gives k = (-1)^d sign(dg/dx_d(z))
+deg_z F.  The chart Jacobian determinant is det DF(z) (-1)^d / dg/dx_d(z).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NoConvergence, ResolutionExhausted,
-                     SuspectedNonIsolatedZero, NotTame, ZeroOnBoundary)
+from .errors import (ResolutionExhausted, SuspectedNonIsolatedZero, NotTame,
+                     ZeroOnBoundary)
 from .manifold import (BOUNDARY_BAND, INWARD, OUTWARD, TANGENT,
-                       boundary_chart, decompose_batch, inwardness,
-                       surface_samples, interval_endpoints)
+                       decompose_batch, inwardness, surface_samples,
+                       interval_endpoints)
+# unused here; benchmarks/layers.py wraps zerofind.boundary_chart by name
+from .manifold import boundary_chart  # noqa: F401
 
 INTERIOR = "InteriorZero"
 BOUNDARY_TANGENTIAL = "BoundaryTangentialZero"
@@ -64,9 +70,6 @@ class ZeroRecord:
     jacobian_det: float
     transverse_sign: str = None  # boundary kind only
     v_perp: float = 0.0
-    # the boundary chart at the zero, shared by the record and its degree;
-    # not part of the report
-    chart: object = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
         d = {
@@ -93,14 +96,6 @@ def unit_sphere_samples(n):
     return np.stack([np.sin(phi) * np.cos(theta),
                      np.sin(phi) * np.sin(theta),
                      np.cos(phi)], axis=-1)
-
-
-def tangential_at(M, collar, v, x):
-    """(v_par, v_perp) of the field at points x near/on the boundary."""
-    x = np.atleast_2d(np.asarray(x, float))
-    vals = v.value(x)
-    _, grads = M.g.jets(x)
-    return decompose_batch(collar, x, grads, vals)
 
 
 # --------------------------------------------------------------------------
@@ -164,6 +159,17 @@ def _separation(z, zeros):
     """Distance from z to the nearest other zero (inf when there is none)."""
     return min((np.linalg.norm(z - w) for w in zeros
                 if np.linalg.norm(z - w) > 0), default=np.inf)
+
+
+def _isolation_radius(z, all_zeros, r, isolated):
+    """The first of r, r/2, r/4, ... that lies below 0.45 times the distance
+    to the nearest other zero and at which ``isolated(r)`` holds."""
+    sep = _separation(z, all_zeros)
+    for _ in range(45):
+        if r < 0.45 * sep and isolated(r):
+            return r
+        r *= 0.5
+    raise ResolutionExhausted(f"no isolation radius found for the zero at {z}")
 
 
 # --------------------------------------------------------------------------
@@ -235,17 +241,14 @@ def find_interior_zeros(M, v, depth=9, paranoid=False):
 
 def _isolation_radius_interior(M, v, z, all_zeros):
     sphere = unit_sphere_samples(M.n)
-    sep = _separation(z, all_zeros)
-    r = 1.0
-    for _ in range(45):
+
+    def isolated(r):
         pts = z[None, :] + r * sphere
-        in_box = np.all((pts >= M.bbox[:, 0]) & (pts <= M.bbox[:, 1]))
-        if r < 0.45 * sep and in_box:
-            gvals = M.g.values(pts)
-            if np.max(gvals) < 0.0 and np.min(v.norms(pts)) > ISOLATION_FLOOR:
-                return r
-        r *= 0.5
-    raise ResolutionExhausted(f"no isolation radius found for the zero at {z}")
+        return (np.all((pts >= M.bbox[:, 0]) & (pts <= M.bbox[:, 1]))
+                and np.max(M.g.values(pts)) < 0.0
+                and np.min(v.norms(pts)) > ISOLATION_FLOOR)
+
+    return _isolation_radius(z, all_zeros, 1.0, isolated)
 
 
 # --------------------------------------------------------------------------
@@ -311,13 +314,18 @@ def _polish_boundary(M, collar, v, seeds, scale):
         # accept on the full tangential norm, not just the kept components:
         # a seed polished under the wrong dropped axis can zero its kept
         # components while the remaining tangential component stays nonzero
-        gv, gg = M.g.jets(x)
-        v_par, _ = decompose_batch(collar, x, gg, v.value(x))
-        resid = np.sqrt(gv ** 2 + np.sum(v_par ** 2, axis=-1))
+        resid = np.linalg.norm(_boundary_values(M, collar, v, x), axis=-1)
         good = resid < 1e-10 * max(1.0, scale)
         good &= np.all((x >= M.bbox[:, 0]) & (x <= M.bbox[:, 1]), axis=-1)
         out.extend(x[good])
     return out
+
+
+def _boundary_values(M, collar, v, x):
+    """The augmented system (g, v_par) at the points x, (m, n + 1)."""
+    gv, gg = M.g.jets(x)
+    v_par, _ = decompose_batch(collar, x, gg, v.value(x))
+    return np.concatenate([gv[:, None], v_par], axis=-1)
 
 
 def _boundary_system(M, v, x):
@@ -343,58 +351,48 @@ def _boundary_system(M, v, x):
 
 
 def _boundary_record(M, collar, v, z, all_zeros):
-    chart = boundary_chart(M, z)
     vals = v.value_at(z)
     _, grads = M.g.jets(z[None, :])
     v_perp = float(collar.transverse(z[None, :], grads, vals[None, :])[0])
     sign = inwardness(v_perp / np.linalg.norm(grads[0]))
-    det = _chart_jacobian_det(M, v, chart)
-    r = _isolation_radius_boundary(M, collar, v, chart, z, all_zeros)
-    return ZeroRecord(z, BOUNDARY_TANGENTIAL, r, det, sign, v_perp, chart)
+    F, d, _, det = boundary_map(M, collar, v, z)
+    r = _isolation_radius_boundary(M, F, d, z, all_zeros)
+    return ZeroRecord(z, BOUNDARY_TANGENTIAL, r, det, sign, v_perp)
 
 
-def chart_tangential_field(M, collar, v, chart):
-    """The tangential part of v in chart coordinates, as a batch callable."""
+def boundary_map(M, collar, v, z):
+    """(F, d, (-1)^d sign(dg/dx_d(z)), chart Jacobian determinant) at the
+    boundary zero z (see the module docstring).  Each row of F is divided by
+    the norm of its gradient at z, which keeps its zeros and its degree."""
+    jac = _boundary_system(M, v, z[None, :])[1][0]
+    d = int(np.argmax(np.abs(jac[0])))
+    rows = [0] + [1 + i for i in range(M.n) if i != d]
+    dF = jac[rows]
+    norms = np.linalg.norm(dF, axis=-1)
+    scale = np.where(norms > 0.0, norms, 1.0)
 
-    def f(u):
-        x = chart.point(u)
-        v_par, _ = tangential_at(M, collar, v, x)
-        return chart.push(v_par)
+    def F(x):
+        return _boundary_values(M, collar, v, x)[:, rows] / scale
 
-    return f
-
-
-def _chart_jacobian_det(M, v, chart):
-    """det of d(push v_par)/du at the chart center u = 0.  The graph chart
-    moves the kept axes by u and the dropped axis d so that g stays 0, so
-    dx_d/du_j = -dg/dx_j / dg/dx_d, and the chain rule gives the Jacobian
-    from D(v_par) at the center."""
-    jac = _boundary_system(M, v, chart.center[None, :])[1][0]
-    grad, dpar = jac[0], jac[1:]
-    kept, d = chart.kept_axes, chart.dropped_axis
-    dx_du = np.eye(M.n)[:, kept]
-    dx_du[d] = -grad[kept] / grad[d]
-    return float(np.linalg.det(dpar[kept] @ dx_du))
+    det = float(np.linalg.det(dF)) * (-1) ** d / jac[0, d]
+    return F, d, (-1) ** d * int(np.sign(jac[0, d])), det
 
 
-def _isolation_radius_boundary(M, collar, v, chart, z, all_zeros):
-    f = chart_tangential_field(M, collar, v, chart)
-    if M.n == 2:
-        ring = np.array([[-1.0], [1.0]])
-    else:
-        th = 2.0 * np.pi * np.arange(32) / 32
-        ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    sep = _separation(z, all_zeros)
-    r = chart.radius
-    for _ in range(45):
-        if r < 0.45 * sep:
-            try:
-                if np.min(np.linalg.norm(f(r * ring), axis=-1)) > ISOLATION_FLOOR:
-                    return r
-            except NoConvergence:
-                pass
-        r *= 0.5
-    raise ResolutionExhausted(f"no boundary isolation radius at {z}")
+def _isolation_radius_boundary(M, F, d, z, all_zeros):
+    """F stays away from 0 on the sphere, and the interval of dg/dx_d on
+    the box around it excludes 0, so x -> (g, x without x_d) is a
+    diffeomorphism there."""
+    sphere = unit_sphere_samples(M.n)
+    slope = M.g.derivatives[d]
+
+    def isolated(r):
+        lo, hi = slope.interval(z[None, :] - r, z[None, :] + r)
+        return ((lo[0] > 0.0 or hi[0] < 0.0)
+                and np.min(np.linalg.norm(F(z[None, :] + r * sphere),
+                                          axis=-1)) > ISOLATION_FLOOR)
+
+    r0 = 0.25 * float(np.min(M.bbox[:, 1] - M.bbox[:, 0]))
+    return _isolation_radius(z, all_zeros, r0, isolated)
 
 
 def _endpoint_records(M, collar, v):

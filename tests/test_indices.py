@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vfindex.cli import load_scene
+from vfindex.errors import ResolutionExhausted
 from vfindex.expr import parse
 from vfindex.fields import ExpressionField
 from vfindex.indices import (HalfInteger, boundary_tangential_degree,
@@ -166,22 +167,31 @@ def test_chart_jacobian_sign_is_the_tangential_degree(scene):
         assert np.sign(rec.jacobian_det) == k
 
 
-def test_one_boundary_chart_per_boundary_zero(monkeypatch):
-    """The record's chart serves its degree too: no zero gets a second."""
+def test_no_boundary_chart_in_the_index(monkeypatch):
+    """Boundary degrees are taken on spheres in R^n: full_index and
+    hypersurface_index call neither boundary_chart nor BoundaryChart.point."""
     from vfindex import indices, manifold, zerofind
     calls = []
 
-    def counted(M, center, *args, **kwargs):
-        calls.append(tuple(center))
-        return manifold.boundary_chart(M, center, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
 
-    monkeypatch.setattr(zerofind, "boundary_chart", counted)
-    monkeypatch.setattr(indices, "boundary_chart", counted)
+    for module in (manifold, zerofind, indices):
+        monkeypatch.setattr(module, "boundary_chart", counted)
+    monkeypatch.setattr(manifold.BoundaryChart, "point", counted)
     sc = load_scene("disk2holes_constant")
     rep = full_index(sc.manifold, COLLAR, sc.field)
     assert len(rep.boundary) == 6
-    assert len(calls) == len(set(calls)) == len(rep.boundary)
-    calls.clear()
     sc = load_scene("sphere2_real")
     total, records, _ = hypersurface_index(sc.manifold, COLLAR, sc.field)
-    assert len(calls) == len(set(calls)) == len(records) > 0
+    assert records
+    assert calls == []
+
+
+def test_hypersurface_index_refuses_degrees_that_miss_chi(monkeypatch):
+    from vfindex import indices
+    monkeypatch.setattr(indices, "boundary_tangential_degree",
+                        lambda S, collar, v, record: 0)
+    sc = load_scene("sphere2_real")
+    with pytest.raises(ResolutionExhausted, match="chi crosscheck"):
+        hypersurface_index(sc.manifold, COLLAR, sc.field)

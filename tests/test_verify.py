@@ -110,7 +110,7 @@ def test_auto_tame_census_uses_the_requested_resolution(searches):
 def test_collar_blend_preserves_radial_outwardness():
     M = ball3()
     v = ExpressionField.parse(["x1", "x2", "x3"])
-    out, log = vf.make_tame(M, COLLAR, v, always_perturb=True)
+    out, log, _ = vf._perturb(M, COLLAR, v, vf.tameness_status(M, COLLAR, v))
     assert log
     rep = full_index(M, COLLAR, out)
     assert rep.special_boundary is None
