@@ -22,9 +22,15 @@ zero derivative.  The symbolic derivative keeps this: d sqrt(a) is
 ``SqrtSlope(a) * da``, and ``SqrtSlope`` reads 0 where a == 0.
 
 ``interval`` is the natural interval extension over a batch of boxes.  numpy
-has no directed rounding, so every rounded endpoint is widened outward with
-``np.nextafter`` (by more than the error of each math function), so the
-bounds enclose every value of the expression on the box.
+has no directed rounding, so every rounded endpoint is widened outward (by
+more than the error of each math function), so the bounds enclose every
+value of the expression on the box (directed rounding as in Moore, Kearfott
+& Cloud, *Introduction to Interval Analysis*, SIAM 2009).  A NaN endpoint
+(inf - inf, 0 * inf) widens to -inf or +inf.  A one-float widening is one
+``np.nextafter`` pass; a widening by k floats is one step of k on the
+positions of the floats in their order, read from their int64 bits, and
+gives bit for bit what k ``nextafter`` passes give, the -0.0 that
+``nextafter`` returns just below 0 included.
 """
 
 from __future__ import annotations
@@ -52,21 +58,41 @@ def _fmt(v: float) -> str:
 # AST
 # --------------------------------------------------------------------------
 
+# the bits of -0.0 and of +inf, as int64
+_NEG_ZERO_BITS = np.int64(np.iinfo(np.int64).min)
+_INF_BITS = np.int64(0x7FF0000000000000)
+
+
+def _ordinal(x):
+    """The position of each float in their order as int64: consecutive
+    floats are one apart, and -0.0 and +0.0 are both 0."""
+    bits = x.view(np.int64)
+    return np.where(bits < 0, _NEG_ZERO_BITS - bits, bits)
+
+
 def _outward(lo, hi, ulps=1):
-    """Widen [lo, hi] by ``ulps`` floats on each side; NaN (inf - inf,
+    """Widen [lo, hi] by ``ulps`` floats on each side, exactly as that many
+    ``np.nextafter`` passes towards -inf and +inf would; NaN (inf - inf,
     0 * inf) widens to the whole line."""
-    lo = np.where(np.isnan(lo), -np.inf, lo)
-    hi = np.where(np.isnan(hi), np.inf, hi)
-    for _ in range(ulps):
-        lo = np.nextafter(lo, -np.inf)
-        hi = np.nextafter(hi, np.inf)
+    lo = np.fmax(lo, -np.inf)
+    hi = np.fmin(hi, np.inf)
+    if ulps == 1:
+        return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    # one step on the ordinals; an ordinal of 0 came from above on the low
+    # side (+0.0) and from below on the high side (-0.0), as with nextafter
+    down = np.maximum(_ordinal(lo) - ulps, -_INF_BITS)
+    up = np.minimum(_ordinal(hi) + ulps, _INF_BITS)
+    lo = np.where(down < 0, _NEG_ZERO_BITS - down, down).view(np.float64)
+    hi = np.where(up > 0, up, _NEG_ZERO_BITS - up).view(np.float64)
     return lo, hi
 
 
 def _hull(*candidates):
     """Outward-rounded [min, max] of candidate endpoint values."""
-    c = np.stack(candidates)
-    return _outward(np.min(c, axis=0), np.max(c, axis=0))
+    low = high = candidates[0]
+    for c in candidates[1:]:
+        low, high = np.minimum(low, c), np.maximum(high, c)
+    return _outward(low, high)
 
 
 # exp, sin, cos and integer powers are not correctly rounded; their error
@@ -222,6 +248,11 @@ class Mul(Node):
         return va * vb, va[..., None] * gb + vb[..., None] * ga
 
     def interval(self, lo, hi):
+        # a constant factor c leaves two distinct products, c*lo and c*hi
+        if isinstance(self.a, Const):
+            return _hull(*(self.a.v * b for b in self.b.interval(lo, hi)))
+        if isinstance(self.b, Const):
+            return _hull(*(a * self.b.v for a in self.a.interval(lo, hi)))
         alo, ahi = self.a.interval(lo, hi)
         blo, bhi = self.b.interval(lo, hi)
         return _hull(alo * blo, alo * bhi, ahi * blo, ahi * bhi)
@@ -300,16 +331,18 @@ class Pow(Node):
             return one, one
         if self.k == 1:
             return alo, ahi
-        # each endpoint's power, rounded both ways
-        lo_down, lo_up = _outward(alo ** self.k, alo ** self.k, _LIBM_ULPS)
-        hi_down, hi_up = _outward(ahi ** self.k, ahi ** self.k, _LIBM_ULPS)
+        # each endpoint's power, of the signed endpoint: numpy's (-x)**k
+        # and x**k can differ in the last bit
+        plo, phi = alo ** self.k, ahi ** self.k
         if self.k % 2:
-            return lo_down, hi_up
+            return _outward(plo, phi, _LIBM_ULPS)
         # even powers fall towards 0 and have minimum 0 on an interval
-        # that holds it
-        low = np.where(alo > 0.0, lo_down, np.where(ahi < 0.0, hi_down, 0.0))
-        high = np.where(alo > 0.0, hi_up,
-                        np.where(ahi < 0.0, lo_up, np.maximum(lo_up, hi_up)))
+        # that holds it; the widening is monotone, so it may come after
+        # the choice of bound
+        low = np.where(alo > 0.0, plo, np.where(ahi < 0.0, phi, 0.0))
+        high = np.where(alo > 0.0, phi,
+                        np.where(ahi < 0.0, plo, np.maximum(plo, phi)))
+        low, high = _outward(low, high, _LIBM_ULPS)
         return np.maximum(low, 0.0), high
 
     def diff(self, i):

@@ -8,15 +8,18 @@ outward-rounded interval bound, so a cell is dropped only on proof; only a
 ``CallableField`` falls back to sampled norms and Jacobian norms.  Paranoid
 mode doubles the depth, and the probe density of the sampled test.
 
-Boundary search projects a dense grid band onto {g = 0}, polishes each
-sample with Newton on the augmented system {g = 0, kept components of the
-tangential part = 0}, and classifies each zero by the sign of the transverse
-component.
+Boundary search projects a dense grid band onto {g = 0}, polishes the
+samples with the smallest tangential part with Newton on the augmented
+system {g = 0, kept components of the tangential part = 0}, and classifies
+each zero by the sign of the transverse component.  A seed keeps the
+components other than its dropped axis, the steepest of g at the seed.
 
 Both searches polish with the one batched Newton loop, ``_newton_polish``,
-which stops each point once its own step settles.  The interior search
-gives it the field's value and Jacobian; the boundary search gives it the
-augmented system together with that system's exact Jacobian,
+which stops each point once its own step settles; its system is told which
+start points are still moving, so the boundary search polishes all its
+seeds in one batch, each on the rows of its own dropped axis.  The interior
+search gives it the field's value and Jacobian; the boundary search gives
+it the augmented system together with that system's exact Jacobian,
 ``_boundary_system``: row 0 is grad g, and the tangential part
 v_par = v - (v.n)n, n = grad g / |grad g|, has
 
@@ -103,17 +106,20 @@ def unit_sphere_samples(n):
 # --------------------------------------------------------------------------
 
 def _newton_polish(system, x0, max_iter, step_cap):
-    """Batched Newton on the square system F = 0 from the rows of x0.
+    """Batched Newton on the square systems F = 0 from the rows of x0.
 
-    system maps (m, n) points to their values F (m, n) and Jacobians DF
-    (m, n, n).  Each step is capped at ``step_cap`` in length.  A point
-    whose Jacobian is singular stays where it is.
+    ``system(x, which)`` maps the (m, n) points still moving, which are the
+    rows ``which`` of x0, to their values F (m, n) and Jacobians DF
+    (m, n, n); through ``which`` each start point may have a system of its
+    own.  Each step is capped at ``step_cap`` in length.  A point whose
+    Jacobian is singular stays where it is.  Every point's iterates depend
+    on that point alone, not on the rest of the batch.
     """
     x = np.array(x0, dtype=float)
     moving = np.arange(len(x))
     for _ in range(max_iter):
         xm = x[moving]
-        val, jm = system(xm)
+        val, jm = system(xm, moving)
         ok = np.abs(np.linalg.det(jm)) > 1e-300
         step = np.zeros_like(val)
         step[ok] = np.linalg.solve(jm[ok], val[ok][..., None])[..., 0]
@@ -216,7 +222,7 @@ def find_interior_zeros(M, v, depth=9, paranoid=False):
     if len(lo) == 0:
         return []
     centers = 0.5 * (lo + hi)
-    polished = _newton_polish(lambda x: (v.value(x), v.jacobian(x)),
+    polished = _newton_polish(lambda x, _: (v.value(x), v.jacobian(x)),
                               centers, 90, 0.25 * M.diameter)
     res = v.norms(polished)
     inside = np.all((polished >= M.bbox[:, 0]) & (polished <= M.bbox[:, 1]), axis=-1)
@@ -292,33 +298,30 @@ def find_boundary_tangential_zeros(M, collar, v, resolution=None):
 
 
 def _polish_boundary(M, collar, v, seeds, scale):
-    n = M.n
+    """Seeds polished in one Newton batch, each on g and the tangential
+    components other than its dropped axis (the steepest of g at the
+    seed); returns the polished points that zero the whole system."""
     if len(seeds) == 0:
         return []
     _, grads = M.g.jets(seeds)
     dropped = np.argmax(np.abs(grads), axis=-1)
-    out = []
-    for axis in range(n):
-        x = seeds[dropped == axis]
-        if len(x) == 0:
-            continue
-        kept = [i for i in range(n) if i != axis]
+    # the rows of (g, v_par) kept for each dropped axis, and for each seed
+    rows = np.array([[0] + [1 + i for i in range(M.n) if i != axis]
+                     for axis in range(M.n)])[dropped]
 
-        rows = [0] + [1 + i for i in kept]
+    def system(xm, which):
+        val, jac = _boundary_system(M, v, xm)
+        at, kept = np.arange(len(xm))[:, None], rows[which]
+        return val[at, kept], jac[at, kept]
 
-        def system(xm):
-            val, jac = _boundary_system(M, v, xm)
-            return val[:, rows], jac[:, rows]
-
-        x = _newton_polish(system, x, 35, 0.03 * M.diameter)
-        # accept on the full tangential norm, not just the kept components:
-        # a seed polished under the wrong dropped axis can zero its kept
-        # components while the remaining tangential component stays nonzero
-        resid = np.linalg.norm(_boundary_values(M, collar, v, x), axis=-1)
-        good = resid < 1e-10 * max(1.0, scale)
-        good &= np.all((x >= M.bbox[:, 0]) & (x <= M.bbox[:, 1]), axis=-1)
-        out.extend(x[good])
-    return out
+    x = _newton_polish(system, seeds, 35, 0.03 * M.diameter)
+    # accept on the full tangential norm, not just the kept components:
+    # a seed polished under the wrong dropped axis can zero its kept
+    # components while the remaining tangential component stays nonzero
+    resid = np.linalg.norm(_boundary_values(M, collar, v, x), axis=-1)
+    good = resid < 1e-10 * max(1.0, scale)
+    good &= np.all((x >= M.bbox[:, 0]) & (x <= M.bbox[:, 1]), axis=-1)
+    return x[good]
 
 
 def _boundary_values(M, collar, v, x):

@@ -373,3 +373,145 @@ def test_constant_rooted_expressions_are_batch_shaped(text):
     assert np.all(jac[:, 0] == 0.0) and np.all(jac[:, 1] == [0.0, 1.0])
     const_field = ExpressionField.parse([text, "1"])
     assert np.all(const_field.jacobian(x) == 0.0)
+
+
+# --------------------------------------------------------------------------
+# Interval kernels against the plain nextafter reference
+# --------------------------------------------------------------------------
+
+_TINY = 5e-324
+_HUGE = np.finfo(float).max
+_SPECIAL = np.array([
+    0.0, -0.0, _TINY, -_TINY, 2 * _TINY, -2 * _TINY, 5 * _TINY, -5 * _TINY,
+    1e-310, -1e-310, np.finfo(float).tiny, -np.finfo(float).tiny,
+    _HUGE, -_HUGE, np.nextafter(_HUGE, 0.0), -np.nextafter(_HUGE, 0.0),
+    np.inf, -np.inf, 1.0, -1.0, 0.5 * np.pi, -np.pi, 1e300, -1e300])
+
+
+def _nextafter_outward(lo, hi, ulps=1):
+    """Reference widening: NaN to the whole line, then ``ulps`` passes of
+    np.nextafter each way."""
+    lo = np.where(np.isnan(lo), -np.inf, lo)
+    hi = np.where(np.isnan(hi), np.inf, hi)
+    for _ in range(ulps):
+        lo = np.nextafter(lo, -np.inf)
+        hi = np.nextafter(hi, np.inf)
+    return lo, hi
+
+
+def _reference_hull(*candidates):
+    c = np.stack(candidates)
+    return _nextafter_outward(np.min(c, axis=0), np.max(c, axis=0))
+
+
+def _reference_mul_interval(self, lo, hi):
+    """Four products, whatever the factors."""
+    alo, ahi = self.a.interval(lo, hi)
+    blo, bhi = self.b.interval(lo, hi)
+    return _reference_hull(alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+
+
+def _reference_pow_interval(self, lo, hi):
+    """Both endpoint powers widened both ways, then the bounds chosen."""
+    alo, ahi = self.a.interval(lo, hi)
+    if self.k == 0:
+        one = np.ones_like(alo)
+        return one, one
+    if self.k == 1:
+        return alo, ahi
+    lo_down, lo_up = _nextafter_outward(alo ** self.k, alo ** self.k,
+                                        ex._LIBM_ULPS)
+    hi_down, hi_up = _nextafter_outward(ahi ** self.k, ahi ** self.k,
+                                        ex._LIBM_ULPS)
+    if self.k % 2:
+        return lo_down, hi_up
+    low = np.where(alo > 0.0, lo_down, np.where(ahi < 0.0, hi_down, 0.0))
+    high = np.where(alo > 0.0, hi_up,
+                    np.where(ahi < 0.0, lo_up, np.maximum(lo_up, hi_up)))
+    return np.maximum(low, 0.0), high
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("ulps", [1, 2, 3, 4])
+def test_outward_steps_like_nextafter(ulps):
+    rng = np.random.default_rng(ulps)
+    steps = np.arange(-6, 7) * _TINY
+    ordinary = rng.normal(size=400) * 10.0 ** rng.integers(-320, 308, 400)
+    x = np.concatenate([_SPECIAL, steps, -steps, [np.nan], ordinary])
+    with np.errstate(over="ignore"):
+        got = ex._outward(x, x, ulps)
+        want = _nextafter_outward(x, x, ulps)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
+    # up from the largest negative subnormal, nextafter's first step is -0.0
+    up = ex._outward(np.array([-_TINY]), np.array([-_TINY]), ulps)[1][0]
+    assert up == (0.0 if ulps == 1 else (ulps - 1) * _TINY)
+    assert np.signbit(up) == (ulps == 1)
+
+
+def _any_node(rng, arity, depth):
+    """A seeded random tree over every node kind, integer powers 0-6 and
+    products with a constant factor on either side; denominators and sqrt
+    arguments are left unguarded."""
+    if depth == 0 or rng.uniform() < 0.15:
+        if rng.uniform() < 0.3:
+            return ex.Const(float(rng.choice(
+                [0.0, -0.0, 1e-310, np.round(rng.normal() * 3.0, 2)])))
+        return ex.Var(int(rng.integers(arity)))
+    a = _any_node(rng, arity, depth - 1)
+    kind = int(rng.integers(13))
+    if kind < 4:
+        b = _any_node(rng, arity, depth - 1)
+        return (ex.Add, ex.Sub, ex.Mul, ex.Div)[kind](a, b)
+    if kind == 4:
+        return ex.Mul(ex.Const(float(np.round(rng.normal() * 3.0, 2))), a)
+    if kind == 5:
+        return ex.Mul(a, ex.Const(float(rng.choice([-2.5, 0.0, 1e-310]))))
+    if kind in (6, 7):
+        return ex.Pow(a, int(rng.integers(7)))
+    if kind == 8:
+        return ex.Neg(a)
+    if kind == 9:
+        return ex.SqrtSlope(a)
+    return ex.Fun(("sin", "cos", "exp", "sqrt")[int(rng.integers(4))], a)
+
+
+def _special_boxes(rng, count, arity):
+    """Boxes whose corners mix ordinary values of many scales with ±0,
+    subnormals, ±max float and ±inf; some are degenerate, many span 0."""
+    def corners():
+        ordinary = rng.normal(size=(count, arity)) \
+            * 10.0 ** rng.integers(-3, 4, size=(count, arity))
+        special = rng.choice(_SPECIAL, size=(count, arity))
+        return np.where(rng.uniform(size=(count, arity)) < 0.3, special,
+                        ordinary)
+
+    a, b = corners(), corners()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return lo, np.where(rng.uniform(size=(count, arity)) < 0.15, lo, hi)
+
+
+def test_interval_kernels_match_the_nextafter_reference(monkeypatch):
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for _ in range(2000):
+        arity = int(rng.integers(1, 4))
+        root = _any_node(rng, arity, int(rng.integers(1, 5)))
+        kinds |= {type(node).__name__ + getattr(node, "name", "")
+                  for node in _nodes(root)}
+        lo, hi = _special_boxes(rng, 48, arity)
+        with np.errstate(all="ignore"):
+            got = root.interval(lo, hi)
+            with monkeypatch.context() as m:
+                m.setattr(ex, "_outward", _nextafter_outward)
+                m.setattr(ex, "_hull", _reference_hull)
+                m.setattr(ex.Mul, "interval", _reference_mul_interval)
+                m.setattr(ex.Pow, "interval", _reference_pow_interval)
+                want = root.interval(lo, hi)
+        for g, w in zip(got, want):
+            assert np.array_equal(_bits(g), _bits(w)), repr(root)
+    assert kinds == {"Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Neg",
+                     "SqrtSlope", "Funsin", "Funcos", "Funexp", "Funsqrt"}

@@ -188,6 +188,53 @@ def test_interval_and_sampled_exclusion_agree():
             assert a.position == pytest.approx(b.position, abs=1e-9)
 
 
+def _per_axis_polish(M, v, seeds, scale):
+    """Reference: one Newton batch per dropped axis, each on the fixed rows
+    of that axis, then the acceptance of ``_polish_boundary``."""
+    _, grads = M.g.jets(seeds)
+    dropped = np.argmax(np.abs(grads), axis=-1)
+    out = []
+    for axis in range(M.n):
+        rows = [0] + [1 + i for i in range(M.n) if i != axis]
+
+        def system(xm, _):
+            val, jac = zf._boundary_system(M, v, xm)
+            return val[:, rows], jac[:, rows]
+
+        x = zf._newton_polish(system, seeds[dropped == axis], 35,
+                              0.03 * M.diameter)
+        resid = np.linalg.norm(zf._boundary_values(M, COLLAR, v, x), axis=-1)
+        good = resid < 1e-10 * max(1.0, scale)
+        good &= np.all((x >= M.bbox[:, 0]) & (x <= M.bbox[:, 1]), axis=-1)
+        out.extend(x[good])
+    return out
+
+
+@pytest.mark.parametrize("shape", [disk, ball3])
+def test_one_batch_boundary_polish_matches_per_axis_batches(shape):
+    from vfindex.manifold import decompose_batch, surface_samples
+    M = shape()
+    rng = np.random.default_rng(M.n)
+    pts = surface_samples(M, resolution=48 if M.n == 2 else 20)
+    _, grads = M.g.jets(pts)
+    converged = 0
+    for _ in range(4):
+        v = random_polynomial_field(rng, M.n, 3)
+        v_par, _ = decompose_batch(COLLAR, pts, grads, v.value(pts))
+        # the seeds of the search, and random ones that mostly never settle
+        order = np.argsort(np.linalg.norm(v_par, axis=-1))
+        seeds = pts[np.concatenate([order[:200],
+                                    rng.choice(order[200:], 200)])]
+        scale = float(np.median(v.norms(pts)))
+        got = zf._polish_boundary(M, COLLAR, v, seeds, scale)
+        want = _per_axis_polish(M, v, seeds, scale)
+        # the same points, bit for bit, in any order
+        assert (sorted(map(tuple, np.asarray(got).view(np.int64)))
+                == sorted(map(tuple, np.asarray(want).view(np.int64))))
+        converged += len(got)
+    assert converged > 0
+
+
 @pytest.mark.parametrize("scene", ["ball2_constant", "annulus_rotational",
                                    "disk2holes_constant", "sphere2_real",
                                    "torus2_real"])
