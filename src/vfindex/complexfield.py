@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ResolutionExhausted
 from .euler import chi_for
 from .fields import central_difference
-from .manifold import Hypersurface, surface_samples
+from .manifold import (Hypersurface, surface_samples, tangential_part,
+                       unit_normals)
 
 # certification margin: projected grid samples form a net of the surface
 # whose covering radius is about sqrt(3)/2 grid pitches, and |q| can drop by
@@ -49,14 +50,9 @@ class ComplexField:
 
     def tangential_parts(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))
-        _, grads = self.surface.g.jets(pts)
-        gn = np.linalg.norm(grads, axis=-1, keepdims=True)
-        nhat = grads / np.maximum(gn, 1e-300)
-
-        def project(vals):
-            return vals - np.sum(vals * nhat, axis=-1, keepdims=True) * nhat
-
-        return project(self.xi.value(pts)), project(self.eta.value(pts))
+        nhat = unit_normals(self.surface.g.jets(pts)[1])
+        return (tangential_part(nhat, self.xi.value(pts)),
+                tangential_part(nhat, self.eta.value(pts)))
 
     def square_norm(self, pts):
         """q = |xi_T|^2 - |eta_T|^2 + 2i <xi_T, eta_T> at each point."""

@@ -164,11 +164,8 @@ def degree_for(m: SphereMap) -> DegreeResult:
     raise ResolutionExhausted(f"degree on S^{m.k} not supported")
 
 
-# --------------------------------------------------------------------------
-# Independent oracle: signed preimage counting at random regular targets
-# --------------------------------------------------------------------------
-
-def _fibonacci_sphere(count):
+def fibonacci_sphere(count):
+    """count points spread evenly over S^2 on a Fibonacci spiral."""
     i = np.arange(count) + 0.5
     phi = np.arccos(1.0 - 2.0 * i / count)
     theta = np.pi * (1.0 + np.sqrt(5.0)) * i
@@ -176,6 +173,10 @@ def _fibonacci_sphere(count):
                      np.sin(phi) * np.sin(theta),
                      np.cos(phi)], axis=-1)
 
+
+# --------------------------------------------------------------------------
+# Independent oracle: signed preimage counting at random regular targets
+# --------------------------------------------------------------------------
 
 def _oracle_s1_trial(m, psi, samples):
     th = 2.0 * np.pi * np.arange(samples) / samples
@@ -223,7 +224,7 @@ def _frame(d):
 
 def _oracle_s2_trial(m, d, rng, seeds=3000):
     f1, f2 = _frame(d)
-    xs = _fibonacci_sphere(seeds)
+    xs = fibonacci_sphere(seeds)
     u = m.sample(xs)
     close = u @ d > np.cos(0.35)
     x = xs[close]

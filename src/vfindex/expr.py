@@ -7,14 +7,14 @@ sin, cos, exp, sqrt.  Evaluation is vectorized over numpy point batches.
 A constant evaluates to a numpy scalar; the public ``Expression`` methods
 broadcast a result that is not batch-shaped to the batch.
 
-Derivatives come in two forms.  ``jets`` is forward mode: each node returns
-its value together with its gradient, so subexpressions are evaluated once.
-``Node.diff(i)`` is symbolic: it builds the partial derivative as a new
-tree, folding constants as it goes (``0`` terms are dropped, ``1`` factors
-and products of constants are folded), and ``Expression.derivatives`` caches
-the n derivative expressions.  Being expressions themselves they have
-values, jets and intervals, which gives exact second derivatives (the
-Hessian of g) and exact Jacobians of expression fields.
+Every node has a value, an interval and a symbolic derivative.
+``Node.diff(i)`` builds the partial derivative as a new tree, folding
+constants as it goes (``0`` terms are dropped, ``1`` factors and products of
+constants are folded), and ``Expression.derivatives`` caches the n
+derivative expressions.  ``jets`` is the value together with the values of
+the derivative expressions.  Being expressions themselves, the derivatives
+have derivatives, jets and intervals, which gives exact second derivatives
+(the Hessian of g) and exact Jacobians of expression fields.
 
 sqrt at exactly 0 evaluates to value 0 with zero partials; this makes
 fields such as ``sqrt(x1^2+x2^2)*x1`` C^1 at the origin with the expected
@@ -131,9 +131,6 @@ class Node:
     def val(self, x):
         raise NotImplementedError
 
-    def jet(self, x):
-        raise NotImplementedError
-
     def interval(self, lo, hi):
         """Enclosure [l, u] of the values over boxes lo <= x <= hi, each
         an (m, n) array; returns two (m,) arrays."""
@@ -150,9 +147,6 @@ class Const(Node):
 
     def val(self, x):
         return np.float64(self.v)
-
-    def jet(self, x):
-        return np.float64(self.v), 0.0
 
     def interval(self, lo, hi):
         v = np.full(lo.shape[:-1], self.v)
@@ -171,11 +165,6 @@ class Var(Node):
 
     def val(self, x):
         return x[..., self.i]
-
-    def jet(self, x):
-        g = np.zeros_like(x)
-        g[..., self.i] = 1.0
-        return x[..., self.i], g
 
     def interval(self, lo, hi):
         return lo[..., self.i], hi[..., self.i]
@@ -196,11 +185,6 @@ class Add(Node):
     def val(self, x):
         return self.a.val(x) + self.b.val(x)
 
-    def jet(self, x):
-        va, ga = self.a.jet(x)
-        vb, gb = self.b.jet(x)
-        return va + vb, ga + gb
-
     def interval(self, lo, hi):
         alo, ahi = self.a.interval(lo, hi)
         blo, bhi = self.b.interval(lo, hi)
@@ -219,11 +203,6 @@ class Sub(Node):
     def val(self, x):
         return self.a.val(x) - self.b.val(x)
 
-    def jet(self, x):
-        va, ga = self.a.jet(x)
-        vb, gb = self.b.jet(x)
-        return va - vb, ga - gb
-
     def interval(self, lo, hi):
         alo, ahi = self.a.interval(lo, hi)
         blo, bhi = self.b.interval(lo, hi)
@@ -241,11 +220,6 @@ class Mul(Node):
 
     def val(self, x):
         return self.a.val(x) * self.b.val(x)
-
-    def jet(self, x):
-        va, ga = self.a.jet(x)
-        vb, gb = self.b.jet(x)
-        return va * vb, va[..., None] * gb + vb[..., None] * ga
 
     def interval(self, lo, hi):
         # a constant factor c leaves two distinct products, c*lo and c*hi
@@ -273,14 +247,6 @@ class Div(Node):
             raise DomainError("division by zero")
         return self.a.val(x) / vb
 
-    def jet(self, x):
-        va, ga = self.a.jet(x)
-        vb, gb = self.b.jet(x)
-        if np.any(vb == 0.0):
-            raise DomainError("division by zero")
-        v = va / vb
-        return v, (ga - v[..., None] * gb) / vb[..., None]
-
     def interval(self, lo, hi):
         alo, ahi = self.a.interval(lo, hi)
         blo, bhi = self.b.interval(lo, hi)
@@ -292,7 +258,7 @@ class Div(Node):
                 np.where(spans_zero, np.inf, qhi))
 
     def diff(self, i):
-        # (a' - (a/b) b') / b, the form of the jet
+        # (a' - (a/b) b') / b
         return _div(_sub(self.a.diff(i), _mul(self, self.b.diff(i))), self.b)
 
 
@@ -316,13 +282,6 @@ class Pow(Node):
 
     def val(self, x):
         return _int_power(self.a.val(x), self.k)
-
-    def jet(self, x):
-        va, ga = self.a.jet(x)
-        if self.k == 0:
-            return np.ones_like(va), np.zeros_like(ga)
-        below = _int_power(va, self.k - 1)
-        return below * va, (self.k * below)[..., None] * ga
 
     def interval(self, lo, hi):
         alo, ahi = self.a.interval(lo, hi)
@@ -358,10 +317,6 @@ class Neg(Node):
     def val(self, x):
         return -self.a.val(x)
 
-    def jet(self, x):
-        va, ga = self.a.jet(x)
-        return -va, -ga
-
     def interval(self, lo, hi):
         alo, ahi = self.a.interval(lo, hi)
         return -ahi, -alo
@@ -387,24 +342,6 @@ class Fun(Node):
         if np.any(va < -SQRT_NEG_TOL):
             raise DomainError("sqrt of negative argument")
         return np.sqrt(np.maximum(va, 0.0))
-
-    def jet(self, x):
-        va, ga = self.a.jet(x)
-        if self.name == "sin":
-            return np.sin(va), np.cos(va)[..., None] * ga
-        if self.name == "cos":
-            return np.cos(va), -np.sin(va)[..., None] * ga
-        if self.name == "exp":
-            e = np.exp(va)
-            return e, e[..., None] * ga
-        if np.any(va < -SQRT_NEG_TOL):
-            raise DomainError("sqrt of negative argument")
-        va = np.maximum(va, 0.0)
-        v = np.sqrt(va)
-        at_kink = va == 0.0
-        safe = np.where(at_kink, 1.0, v)
-        g = np.where(at_kink[..., None], 0.0, ga / (2.0 * safe[..., None]))
-        return v, g
 
     def interval(self, lo, hi):
         alo, ahi = self.a.interval(lo, hi)
@@ -435,9 +372,8 @@ class Fun(Node):
 @dataclass(frozen=True)
 class SqrtSlope(Node):
     """d sqrt(a) / da = 1 / (2 sqrt(a)), read as 0 where a == 0: the
-    derivative node of sqrt, with the kink convention of ``Fun.jet``.
-    Like sqrt, an argument slightly below 0 reads as 0.  It has no
-    ``diff``: second derivatives come from the jets of a derivative."""
+    derivative node of sqrt, with sqrt's convention of zero partials at the
+    kink.  Like sqrt, an argument slightly below 0 reads as 0."""
 
     a: Node
 
@@ -452,12 +388,6 @@ class SqrtSlope(Node):
     def val(self, x):
         return self._slope(self.a.val(x))
 
-    def jet(self, x):
-        va, ga = self.a.jet(x)
-        s = self._slope(va)
-        # d/da (1 / (2 sqrt(a))) = -2 s^3, which is 0 at the kink too
-        return s, (-2.0 * s * s * s)[..., None] * ga
-
     def interval(self, lo, hi):
         alo, ahi = self.a.interval(lo, hi)
         alo, ahi = np.maximum(alo, 0.0), np.maximum(ahi, 0.0)
@@ -468,6 +398,10 @@ class SqrtSlope(Node):
         low = np.where(alo > 0.0, np.maximum(slo, 0.0), 0.0)
         high = np.where(alo > 0.0, shi, np.where(ahi > 0.0, np.inf, 0.0))
         return low, high
+
+    def diff(self, i):
+        # d/da (1 / (2 sqrt(a))) = -2 s^3, which is 0 at the kink too
+        return _mul(_mul(Const(-2.0), _pow(self, 3)), self.a.diff(i))
 
 
 # --------------------------------------------------------------------------
@@ -739,8 +673,10 @@ class Expression:
 
     def _jet(self, point):
         x = self._points(point)
-        v, g = self.root.jet(x)
-        v, g = _batch_shaped(v, x.shape[:-1]), _batch_shaped(g, x.shape)
+        v = _batch_shaped(self.root.val(x), x.shape[:-1])
+        g = np.empty(x.shape)
+        for i, d in enumerate(self.derivatives):
+            g[..., i] = d.root.val(x)
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(g))):
             raise DomainError("non-finite value in jet evaluation")
         return v, g
@@ -750,7 +686,8 @@ class Expression:
         return JetValue(float(v), g)
 
     def jets(self, points):
-        """Batch jets: returns (values (m,), gradients (m, n))."""
+        """Batch jets: returns (values (m,), gradients (m, n)), the
+        gradients from the derivative expressions."""
         return self._jet(points)
 
     def gradient(self, point) -> np.ndarray:

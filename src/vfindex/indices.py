@@ -187,7 +187,7 @@ def interior_index(M, v, record):
                           record.isolation_radius, record.position)
 
 
-def boundary_tangential_degree(M, collar, v, record):
+def boundary_tangential_degree(M, v, record):
     """Degree k of the tangential part around a boundary zero: the degree
     of the augmented map F on spheres around it in R^n, times the
     orientation of its dropped axis (``zerofind.boundary_map``).
@@ -197,7 +197,7 @@ def boundary_tangential_degree(M, collar, v, record):
     if M.n == 1:
         return 1
     z = record.position
-    F, _, orientation, _ = boundary_map(M, collar, v, z)
+    F, _, orientation, _ = boundary_map(M, v, z)
     return orientation * _stable_degree(lambda rr: SphereMap(F, z, rr),
                                         record.isolation_radius, z)
 
@@ -277,7 +277,7 @@ def _boundary_part(M, collar, v, census, chi_b, crosscheck=True,
             morse_plus=0 if inward else chi_b)
     contributions = []
     for rec in census:
-        k = boundary_tangential_degree(M, collar, v, rec)
+        k = boundary_tangential_degree(M, v, rec)
         contributions.append(
             BoundaryContribution(rec, k, boundary_zero_index(rec, k)))
     morse_minus, morse_plus = morse_split(contributions)
@@ -304,7 +304,7 @@ def hypersurface_index(S, collar, v):
     if not isinstance(S, Hypersurface):
         raise TypeError("hypersurface_index needs a Hypersurface")
     records = find_boundary_tangential_zeros(S, collar, v)
-    degrees = [boundary_tangential_degree(S, collar, v, rec) for rec in records]
+    degrees = [boundary_tangential_degree(S, v, rec) for rec in records]
     total = int(sum(degrees))
     chi = chi_for(S)
     if total != chi:

@@ -1,8 +1,9 @@
 """Sublevel domains {g <= 0}, closed hypersurfaces {g = 0}, collars and charts.
 
 The collar map is never materialized globally; only the boundary projection
-(phi1) and the transverse level coordinate (phi2) are used, which is all the
-index definitions need.  Two built-in phi2 choices exist so that
+(phi1) and the derivative of the transverse level coordinate (phi2) along
+the field, ``Collar.transverse``, are used, which is all the index
+definitions need.  Two built-in phi2 choices exist so that
 collar-independence of the boundary index can be checked computationally:
 
 * ``neg_g``:  phi2 = -g
@@ -184,13 +185,6 @@ class Collar:
         if self.kind not in ("neg_g", "scaled"):
             raise VfError(f"unknown collar kind {self.kind!r}")
 
-    def phi2(self, M, x):
-        x = np.asarray(x, float)
-        g = M.g.values(x)
-        if self.kind == "neg_g":
-            return -g
-        return -g / (1.0 + np.sum(x * x, axis=-1))
-
     def transverse(self, x, grad_g, vec):
         """v_perp = T(phi2) applied to vec at a boundary point x."""
         raw = -np.sum(grad_g * vec, axis=-1)
@@ -229,12 +223,22 @@ def project_batch(M, pts):
 # Tangential / transverse decomposition
 # --------------------------------------------------------------------------
 
+def unit_normals(grads):
+    """grads / |grads|, the unit normals of the level sets of g."""
+    gn = np.linalg.norm(grads, axis=-1, keepdims=True)
+    return grads / np.maximum(gn, 1e-300)
+
+
+def tangential_part(nhat, vecs):
+    """vecs - (vecs.n) n: the part of vecs tangent to the level sets with
+    unit normals nhat."""
+    return vecs - np.sum(vecs * nhat, axis=-1, keepdims=True) * nhat
+
+
 def decompose_batch(collar, pts, grads, vecs):
     """Split vecs at boundary points pts, where g has gradients grads, into
     (tangential parts, transverse values)."""
-    gn = np.linalg.norm(grads, axis=-1, keepdims=True)
-    nhat = grads / np.maximum(gn, 1e-300)
-    v_par = vecs - np.sum(vecs * nhat, axis=-1, keepdims=True) * nhat
+    v_par = tangential_part(unit_normals(grads), vecs)
     v_perp = collar.transverse(pts, grads, vecs)
     return v_par, v_perp
 

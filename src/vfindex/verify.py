@@ -155,10 +155,7 @@ def make_tame(M, collar, v, seed=0):
     The input is returned unchanged when it is already tame, or when it falls
     under the exact uniform-transverse special case.
     """
-    status = tameness_status(M, collar, v)
-    if status in ("tame", "special"):
-        return v, []
-    return _perturb(M, collar, v, status, seed)[:2]
+    return _tame(M, collar, v, seed)[:2]
 
 
 def _tame(M, collar, v, seed=0, resolution=None):

@@ -26,9 +26,10 @@ v_par = v - (v.n)n, n = grad g / |grad g|, has
     D(v_par) = Dv - n (n^T Dv + v^T Dn) - (v.n) Dn,
     Dn = (I - n n^T) H / |grad g|,
 
-with H the Hessian of g from the jets of g's derivative expressions.  Dv is
-the field's own Jacobian (exact for expression fields).  Both searches then
-reduce the converged points to distinct zeros with ``_distinct``.
+with H the Hessian of g, the values of g's second derivative expressions
+(the ``jets`` of each of g's derivative expressions).  Dv is the field's own
+Jacobian (exact for expression fields).  Both searches then reduce the
+converged points to distinct zeros with ``_distinct``.
 
 The degree k of the tangential part at a boundary zero z needs no chart.
 Let d be the dropped axis (the steepest of g at z) and F = (g, v_par
@@ -45,11 +46,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .degree import fibonacci_sphere
 from .errors import (ResolutionExhausted, SuspectedNonIsolatedZero, NotTame,
                      ZeroOnBoundary)
 from .manifold import (BOUNDARY_BAND, INWARD, OUTWARD, TANGENT,
                        decompose_batch, inwardness, surface_samples,
-                       interval_endpoints)
+                       interval_endpoints, tangential_part, unit_normals)
 # unused here; benchmarks/layers.py wraps zerofind.boundary_chart by name
 from .manifold import boundary_chart  # noqa: F401
 
@@ -72,7 +74,6 @@ class ZeroRecord:
     isolation_radius: float
     jacobian_det: float
     transverse_sign: str = None  # boundary kind only
-    v_perp: float = 0.0
 
     def as_dict(self):
         d = {
@@ -92,13 +93,7 @@ def unit_sphere_samples(n):
     if n == 2:
         th = 2.0 * np.pi * np.arange(48) / 48
         return np.stack([np.cos(th), np.sin(th)], axis=-1)
-    count = 96
-    i = np.arange(count) + 0.5
-    phi = np.arccos(1.0 - 2.0 * i / count)
-    theta = np.pi * (1.0 + np.sqrt(5.0)) * i
-    return np.stack([np.sin(phi) * np.cos(theta),
-                     np.sin(phi) * np.sin(theta),
-                     np.cos(phi)], axis=-1)
+    return fibonacci_sphere(96)
 
 
 # --------------------------------------------------------------------------
@@ -286,7 +281,7 @@ def find_boundary_tangential_zeros(M, collar, v, resolution=None):
                       uniform_sign=uniform)
     order = np.argsort(par_norm)
     seeds = pts[order[:MAX_SEEDS]]
-    converged = _polish_boundary(M, collar, v, seeds, scale)
+    converged = _polish_boundary(M, v, seeds, scale)
     zeros = _distinct(converged, "tangential zeros")
     records = []
     for z in zeros:
@@ -297,7 +292,7 @@ def find_boundary_tangential_zeros(M, collar, v, resolution=None):
     return records
 
 
-def _polish_boundary(M, collar, v, seeds, scale):
+def _polish_boundary(M, v, seeds, scale):
     """Seeds polished in one Newton batch, each on g and the tangential
     components other than its dropped axis (the steepest of g at the
     seed); returns the polished points that zero the whole system."""
@@ -318,16 +313,16 @@ def _polish_boundary(M, collar, v, seeds, scale):
     # accept on the full tangential norm, not just the kept components:
     # a seed polished under the wrong dropped axis can zero its kept
     # components while the remaining tangential component stays nonzero
-    resid = np.linalg.norm(_boundary_values(M, collar, v, x), axis=-1)
+    resid = np.linalg.norm(_boundary_values(M, v, x), axis=-1)
     good = resid < 1e-10 * max(1.0, scale)
     good &= np.all((x >= M.bbox[:, 0]) & (x <= M.bbox[:, 1]), axis=-1)
     return x[good]
 
 
-def _boundary_values(M, collar, v, x):
+def _boundary_values(M, v, x):
     """The augmented system (g, v_par) at the points x, (m, n + 1)."""
     gv, gg = M.g.jets(x)
-    v_par, _ = decompose_batch(collar, x, gg, v.value(x))
+    v_par = tangential_part(unit_normals(gg), v.value(x))
     return np.concatenate([gv[:, None], v_par], axis=-1)
 
 
@@ -339,7 +334,7 @@ def _boundary_system(M, v, x):
     hess = np.stack([row for _, row in jets], axis=-2)
     vals, dv = v.value(x), v.jacobian(x)
     gnorm = np.linalg.norm(grad, axis=-1)
-    nhat = grad / np.maximum(gnorm, 1e-300)[:, None]
+    nhat = unit_normals(grad)
     # Dn = (I - n n^T) H / |grad g|
     nh = np.einsum("mi,mij->mj", nhat, hess)
     dn = (hess - nhat[:, :, None] * nh[:, None, :]) \
@@ -348,8 +343,8 @@ def _boundary_system(M, v, x):
     dvn = np.einsum("mi,mij->mj", nhat, dv) + np.einsum("mi,mij->mj", vals, dn)
     vn = np.sum(vals * nhat, axis=-1)
     dpar = dv - nhat[:, :, None] * dvn[:, None, :] - vn[:, None, None] * dn
-    v_par = vals - vn[:, None] * nhat
-    return (np.concatenate([M.g.values(x)[:, None], v_par], axis=-1),
+    return (np.concatenate([M.g.values(x)[:, None],
+                            tangential_part(nhat, vals)], axis=-1),
             np.concatenate([grad[:, None, :], dpar], axis=-2))
 
 
@@ -358,12 +353,12 @@ def _boundary_record(M, collar, v, z, all_zeros):
     _, grads = M.g.jets(z[None, :])
     v_perp = float(collar.transverse(z[None, :], grads, vals[None, :])[0])
     sign = inwardness(v_perp / np.linalg.norm(grads[0]))
-    F, d, _, det = boundary_map(M, collar, v, z)
+    F, d, _, det = boundary_map(M, v, z)
     r = _isolation_radius_boundary(M, F, d, z, all_zeros)
-    return ZeroRecord(z, BOUNDARY_TANGENTIAL, r, det, sign, v_perp)
+    return ZeroRecord(z, BOUNDARY_TANGENTIAL, r, det, sign)
 
 
-def boundary_map(M, collar, v, z):
+def boundary_map(M, v, z):
     """(F, d, (-1)^d sign(dg/dx_d(z)), chart Jacobian determinant) at the
     boundary zero z (see the module docstring).  Each row of F is divided by
     the norm of its gradient at z, which keeps its zeros and its degree."""
@@ -375,7 +370,7 @@ def boundary_map(M, collar, v, z):
     scale = np.where(norms > 0.0, norms, 1.0)
 
     def F(x):
-        return _boundary_values(M, collar, v, x)[:, rows] / scale
+        return _boundary_values(M, v, x)[:, rows] / scale
 
     det = float(np.linalg.det(dF)) * (-1) ** d / jac[0, d]
     return F, d, (-1) ** d * int(np.sign(jac[0, d])), det
@@ -416,7 +411,7 @@ def _endpoint_records(M, collar, v):
             raise NotTame(f"transverse component vanishes at the endpoint {e}")
         sep = min((abs(e - o) for o in ends if o != e), default=2.0)
         records.append(ZeroRecord(z, BOUNDARY_TANGENTIAL, 0.45 * sep, 1.0,
-                                  sign, v_perp))
+                                  sign))
     records.sort(key=lambda rec: tuple(rec.position))
     return records
 

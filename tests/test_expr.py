@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from vfindex import expr as ex
-from vfindex.errors import ArityMismatch, ExprSyntaxError, UnknownVariable
+from vfindex.errors import (ArityMismatch, DomainError, ExprSyntaxError,
+                            UnknownVariable)
 
 
 def fd_gradient(e, p, h=1e-6):
@@ -242,16 +243,18 @@ def test_diff_matches_jets_and_central_differences(seed):
     arity = int(rng.integers(1, 4))
     e = ex.Expression(_random_node(rng, arity, 4), arity)
     x = rng.uniform(-1.2, 1.2, size=(32, arity))
-    _, grads = e.jets(x)
+    vals, grads = e.jets(x)
+    assert np.array_equal(vals, e.values(x))
     fd = central_difference(e.values, x)
     for i in range(arity):
         d = e.derivatives[i]
         got = d.values(x)
         assert got.shape == (32,)
-        assert np.allclose(got, grads[:, i], rtol=1e-9, atol=1e-9)
+        # jets read the derivative expressions
+        assert np.array_equal(grads[:, i], got)
         assert np.allclose(got, fd[:, i], rtol=1e-5, atol=1e-5)
         # the jets of a derivative are second derivatives
-        second = central_difference(lambda y: e.jets(y)[1][:, i], x)
+        second = central_difference(d.values, x)
         assert np.allclose(d.jets(x)[1], second, rtol=1e-5, atol=1e-5)
 
 
@@ -279,15 +282,56 @@ def test_diff_of_every_node_kind():
                                rtol=1e-13, atol=1e-13), (text, i)
 
 
+def test_diff_of_sqrt_slope():
+    """d/dx1 of 1/(2 sqrt(a)) is -a'/(4 a^(3/2)), and the second derivative
+    of sqrt(x1^2 + 1) is (x1^2 + 1)^(-3/2)."""
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(16, 2))
+    a = ex.parse("x1^2 + x2^2 + 1", 2)
+    slope = ex.Expression(ex.SqrtSlope(a.root), 2)
+    for i in range(2):
+        want = -x[:, i] / (2.0 * a.values(x) ** 1.5)
+        assert np.allclose(slope.derivatives[i].values(x), want,
+                           rtol=1e-13, atol=1e-13)
+    e = ex.parse("sqrt(x1^2 + 1)", 2)
+    second = e.derivatives[0].derivatives[0]
+    assert np.allclose(second.values(x), (x[:, 0] ** 2 + 1.0) ** -1.5,
+                       rtol=1e-13, atol=1e-13)
+    assert np.allclose(e.derivatives[0].jets(x)[1],
+                       np.stack([(x[:, 0] ** 2 + 1.0) ** -1.5,
+                                 np.zeros(16)], axis=-1),
+                       rtol=1e-13, atol=1e-13)
+
+
+def test_every_node_has_value_interval_and_diff():
+    kinds = ex.Node.__subclasses__()
+    assert {k.__name__ for k in kinds} == {
+        "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Fun",
+        "SqrtSlope"}
+    for kind in kinds:
+        for method in ("val", "interval", "diff"):
+            assert method in vars(kind), (kind.__name__, method)
+        assert not hasattr(kind, "jet"), kind.__name__
+
+
+def test_jets_raise_domain_errors():
+    with pytest.raises(DomainError, match="division by zero"):
+        ex.parse("1/x1", 1).jets(np.array([[1.0], [0.0]]))
+    with pytest.raises(DomainError, match="sqrt of negative argument"):
+        ex.parse("sqrt(x1)", 1).jets(np.array([[1.0], [-1.0]]))
+    with pytest.raises(DomainError, match="sqrt of negative argument"):
+        ex.parse("sqrt(x1 - x2)", 2).eval_jet([0.0, 1.0])
+
+
 def test_diff_of_sqrt_at_its_kink_reads_zero():
     e = ex.parse("sqrt(x1^2 + x2^2)*x1 + sqrt(x2^2)", 2)
     x = np.array([[0.0, 0.0], [0.3, -0.4]])
-    _, grads = e.jets(x)
+    # by hand at (0.3, -0.4), where r = 0.5: x1^2/r + r and x1 x2/r - 1
+    want = [[0.0, 0.68], [0.0, -1.24]]
     for i in range(2):
         got = e.derivatives[i].values(x)
         assert np.all(np.isfinite(got))
         assert got[0] == 0.0
-        assert got == pytest.approx(grads[:, i], rel=1e-12)
+        assert got == pytest.approx(want[i], rel=1e-12)
     # the slope node, its jet and the second derivatives all read 0 there
     slope = ex.Expression(ex.SqrtSlope(ex.parse("x1^2 + x2^2", 2).root), 2)
     v, g = slope.jets(x[:1])

@@ -162,7 +162,7 @@ def test_chart_jacobian_sign_is_the_tangential_degree(scene):
     records = find_boundary_tangential_zeros(sc.manifold, COLLAR, sc.field)
     assert records
     for rec in records:
-        k = boundary_tangential_degree(sc.manifold, COLLAR, sc.field, rec)
+        k = boundary_tangential_degree(sc.manifold, sc.field, rec)
         assert abs(rec.jacobian_det) > 0.1
         assert np.sign(rec.jacobian_det) == k
 
@@ -191,7 +191,34 @@ def test_no_boundary_chart_in_the_index(monkeypatch):
 def test_hypersurface_index_refuses_degrees_that_miss_chi(monkeypatch):
     from vfindex import indices
     monkeypatch.setattr(indices, "boundary_tangential_degree",
-                        lambda S, collar, v, record: 0)
+                        lambda S, v, record: 0)
     sc = load_scene("sphere2_real")
     with pytest.raises(ResolutionExhausted, match="chi crosscheck"):
         hypersurface_index(sc.manifold, COLLAR, sc.field)
+
+
+@pytest.mark.parametrize("n, field", [(2, ["x1 + 1", "1 - x2"]),
+                                      (3, ["1", "1", "1"])])
+def test_full_index_with_sqrt_in_g(n, field):
+    """{sqrt(x1^2 + 1) + x2^2 (+ x3^2) <= 1.5} is cut out of its box by a
+    polynomial as well, and the chart Jacobian of the tangential part does
+    not depend on which g cuts the domain out.  The Hessian of the sqrt
+    form goes through the derivative of sqrt's slope node; at these zeros
+    its term is not along grad g, so it shows in the Jacobian."""
+    squares = [f"x{i + 1}^2" for i in range(1, n)]
+    forms = (f"sqrt(x1^2 + 1) + {' + '.join(squares)} - 1.5",
+             f"x1^2 + 1 - (1.5 - {' - '.join(squares)})^2")
+    bbox = [[-1.5, 1.5]] + [[-1.0, 1.0]] * (n - 1)
+    v = ExpressionField.parse(field)
+    root, poly = (full_index(DomainManifold(parse(g, n), n, bbox, f"ball_{n}"),
+                             COLLAR, v) for g in forms)
+    assert root.theorem_holds and poly.theorem_holds
+    assert root.interior_index == poly.interior_index
+    assert root.boundary_index == poly.boundary_index
+    assert len(root.boundary) == len(poly.boundary) > 0
+    for a, b in zip(root.boundary, poly.boundary):
+        assert np.allclose(a.record.position, b.record.position, atol=1e-8)
+        assert a.record.jacobian_det == pytest.approx(b.record.jacobian_det,
+                                                      rel=1e-9)
+        assert a.tangential_degree == b.tangential_degree
+        assert a.record.transverse_sign == b.record.transverse_sign

@@ -203,7 +203,7 @@ def _per_axis_polish(M, v, seeds, scale):
 
         x = zf._newton_polish(system, seeds[dropped == axis], 35,
                               0.03 * M.diameter)
-        resid = np.linalg.norm(zf._boundary_values(M, COLLAR, v, x), axis=-1)
+        resid = np.linalg.norm(zf._boundary_values(M, v, x), axis=-1)
         good = resid < 1e-10 * max(1.0, scale)
         good &= np.all((x >= M.bbox[:, 0]) & (x <= M.bbox[:, 1]), axis=-1)
         out.extend(x[good])
@@ -226,7 +226,7 @@ def test_one_batch_boundary_polish_matches_per_axis_batches(shape):
         seeds = pts[np.concatenate([order[:200],
                                     rng.choice(order[200:], 200)])]
         scale = float(np.median(v.norms(pts)))
-        got = zf._polish_boundary(M, COLLAR, v, seeds, scale)
+        got = zf._polish_boundary(M, v, seeds, scale)
         want = _per_axis_polish(M, v, seeds, scale)
         # the same points, bit for bit, in any order
         assert (sorted(map(tuple, np.asarray(got).view(np.int64)))
