@@ -741,6 +741,10 @@ def _print(node, parent_prec=0):
     if isinstance(node, Pow):
         s = f"{_print(node.a, _P_POW + 1)}^{node.k}"
         return f"({s})" if parent_prec > _P_POW else s
+    if isinstance(node, SqrtSlope):
+        # no syntax of its own; this reparses to the same values off the kink
+        s = f"1/(2*sqrt({_print(node.a)}))"
+        return f"({s})" if parent_prec > _P_MUL else s
     ops = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
     sym = ops[type(node)]
     prec = node.prec

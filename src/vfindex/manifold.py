@@ -326,6 +326,15 @@ def boundary_chart(M, center, r0=None, min_radius=1e-6):
 # Boundary sampling
 # --------------------------------------------------------------------------
 
+def surface_grid(M, resolution=None):
+    """(resolution, pitch) of the grid that ``surface_samples`` projects: by
+    default 192 cells per axis in 2-D and 40 in 3-D, and the pitch is the
+    longest side of the bbox over the resolution."""
+    if resolution is None:
+        resolution = 192 if M.n == 2 else 40
+    return resolution, float(np.max(M.bbox[:, 1] - M.bbox[:, 0])) / resolution
+
+
 def surface_samples(M, resolution=None, max_points=20000):
     """Points on {g = 0} obtained by projecting a grid band.
 
@@ -334,9 +343,7 @@ def surface_samples(M, resolution=None, max_points=20000):
     """
     if M.n == 1:
         return interval_endpoints(M).reshape(-1, 1)
-    if resolution is None:
-        resolution = 192 if M.n == 2 else 40
-    pitch = float(np.max(M.bbox[:, 1] - M.bbox[:, 0])) / resolution
+    resolution, pitch = surface_grid(M, resolution)
     seeds = []
     for pts in grid_slabs(M.bbox, resolution):
         vals, grads = M.g.jets(pts)

@@ -8,11 +8,17 @@ outward-rounded interval bound, so a cell is dropped only on proof; only a
 ``CallableField`` falls back to sampled norms and Jacobian norms.  Paranoid
 mode doubles the depth, and the probe density of the sampled test.
 
-Boundary search projects a dense grid band onto {g = 0}, polishes the
-samples with the smallest tangential part with Newton on the augmented
-system {g = 0, kept components of the tangential part = 0}, and classifies
-each zero by the sign of the transverse component.  A seed keeps the
-components other than its dropped axis, the steepest of g at the seed.
+Boundary search projects a dense grid band onto {g = 0}, polishes seeds
+among those samples with Newton on the augmented system {g = 0, kept
+components of the tangential part = 0}, and classifies each zero by the
+sign of the transverse component.  A point keeps the components other than
+its dropped axis, the steepest of g at the point.  The seeds are chosen by
+one Newton step from every sample (``_boundary_seeds``): a sample seeds
+when its step is shorter than two grid pitches and is the shortest step
+whose predicted zero falls in its half-pitch cell.  A step length is a
+distance to the zero whatever the slope of the field; the size of the
+tangential part is not, and seeds at its local minima lose zeros that lie
+close together where it is large.
 
 Both searches polish with the one batched Newton loop, ``_newton_polish``,
 which stops each point once its own step settles; its system is told which
@@ -50,8 +56,9 @@ from .degree import fibonacci_sphere
 from .errors import (ResolutionExhausted, SuspectedNonIsolatedZero, NotTame,
                      ZeroOnBoundary)
 from .manifold import (BOUNDARY_BAND, INWARD, OUTWARD, TANGENT,
-                       decompose_batch, inwardness, surface_samples,
-                       interval_endpoints, tangential_part, unit_normals)
+                       decompose_batch, inwardness, surface_grid,
+                       surface_samples, interval_endpoints, tangential_part,
+                       unit_normals)
 # unused here; benchmarks/layers.py wraps zerofind.boundary_chart by name
 from .manifold import boundary_chart  # noqa: F401
 
@@ -63,7 +70,13 @@ ISOLATION_FLOOR = 1e-6
 DEDUP_RADIUS = 1e-6
 CLUSTER_RADIUS = 1e-4
 CELL_CAP = 400_000
-# boundary samples with the smallest tangential part that are polished
+# boundary seeds (_boundary_seeds): first Newton steps shorter than
+# SEED_REACH grid pitches, the shortest per cell, SEED_CELL pitches wide, of
+# the predicted zeros
+SEED_REACH = 2.0
+SEED_CELL = 0.5
+# more boundary seeds than this raise ResolutionExhausted; it is also the
+# batch size of the first Newton step over the surface samples
 MAX_SEEDS = 4000
 
 
@@ -279,8 +292,7 @@ def find_boundary_tangential_zeros(M, collar, v, resolution=None):
             uniform = None
         raise NotTame("tangential component vanishes identically on the boundary",
                       uniform_sign=uniform)
-    order = np.argsort(par_norm)
-    seeds = pts[order[:MAX_SEEDS]]
+    seeds = _boundary_seeds(M, v, pts, grads, surface_grid(M, resolution)[1])
     converged = _polish_boundary(M, v, seeds, scale)
     zeros = _distinct(converged, "tangential zeros")
     records = []
@@ -292,17 +304,58 @@ def find_boundary_tangential_zeros(M, collar, v, resolution=None):
     return records
 
 
+def _kept_rows(grads):
+    """For each point where g has the gradient grads, the rows of (g, v_par)
+    kept by the boundary Newton: g and the tangential components other than
+    its dropped axis, the steepest of g there."""
+    n = grads.shape[-1]
+    dropped = np.argmax(np.abs(grads), axis=-1)
+    return np.array([[0] + [1 + i for i in range(n) if i != axis]
+                     for axis in range(n)])[dropped]
+
+
+def _boundary_seeds(M, v, pts, grads, pitch):
+    """The surface samples pts (where g has the gradients grads) that seed
+    the boundary Newton, in the order of their first Newton step's length.
+
+    The step is the first step of ``_polish_boundary`` on each sample's
+    kept rows, taken in batches of MAX_SEEDS points.  A sample qualifies
+    when its step is shorter than SEED_REACH pitches, and of the qualifying
+    samples whose predicted zeros x - DF^-1 F share a cell SEED_CELL
+    pitches wide, only the one with the shortest step seeds.  A step
+    length estimates the distance to a zero whatever the field's slope,
+    where the size of v_par does not.
+    """
+    rows = _kept_rows(grads)
+    step = np.full(pts.shape, np.inf)
+    for start in range(0, len(pts), MAX_SEEDS):
+        part = slice(start, start + MAX_SEEDS)
+        val, jac = _boundary_system(M, v, pts[part])
+        at, kept = np.arange(len(val))[:, None], rows[part]
+        F, DF = val[at, kept], jac[at, kept]
+        ok = np.abs(np.linalg.det(DF)) > 1e-300
+        step[part][ok] = np.linalg.solve(DF[ok], F[ok][..., None])[..., 0]
+    length = np.linalg.norm(step, axis=-1)
+    near = np.nonzero(length < SEED_REACH * pitch)[0]
+    near = near[np.argsort(length[near], kind="stable")]
+    cells = np.floor((pts[near] - step[near] - M.bbox[:, 0])
+                     / (SEED_CELL * pitch))
+    # np.unique returns the first, so the shortest, step of each cell
+    _, first = np.unique(cells, axis=0, return_index=True)
+    seeds = near[np.sort(first)]
+    if len(seeds) > MAX_SEEDS:
+        raise ResolutionExhausted(
+            f"{len(seeds)} boundary seeds, more than MAX_SEEDS = {MAX_SEEDS}")
+    return pts[seeds]
+
+
 def _polish_boundary(M, v, seeds, scale):
     """Seeds polished in one Newton batch, each on g and the tangential
     components other than its dropped axis (the steepest of g at the
     seed); returns the polished points that zero the whole system."""
     if len(seeds) == 0:
         return []
-    _, grads = M.g.jets(seeds)
-    dropped = np.argmax(np.abs(grads), axis=-1)
-    # the rows of (g, v_par) kept for each dropped axis, and for each seed
-    rows = np.array([[0] + [1 + i for i in range(M.n) if i != axis]
-                     for axis in range(M.n)])[dropped]
+    rows = _kept_rows(M.g.jets(seeds)[1])
 
     def system(xm, which):
         val, jac = _boundary_system(M, v, xm)

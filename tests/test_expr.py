@@ -55,6 +55,37 @@ def test_roundtrip_through_printer():
         assert again.evaluate(p) == pytest.approx(e.evaluate(p), abs=1e-14)
 
 
+def test_every_node_kind_prints_and_reparses():
+    """One expression rooted at each node kind prints, and its text parses
+    back to the same values (SqrtSlope off its kink)."""
+    a = ex.parse("x1^2 + 1", 1).root
+    roots = {
+        ex.Const: ex.Const(-2.5), ex.Var: ex.Var(0),
+        ex.Add: ex.Add(a, ex.Var(0)), ex.Sub: ex.Sub(ex.Var(0), a),
+        ex.Mul: ex.Mul(ex.Const(-2.0), a), ex.Div: ex.Div(ex.Var(0), a),
+        ex.Pow: ex.Pow(a, 3), ex.Neg: ex.Neg(a), ex.Fun: ex.Fun("sqrt", a),
+        ex.SqrtSlope: ex.SqrtSlope(a),
+    }
+    assert set(roots) == set(ex.Node.__subclasses__())
+    x = np.random.default_rng(11).uniform(-2.0, 2.0, size=(16, 1))
+    for root in roots.values():
+        e = ex.Expression(root, 1)
+        assert np.array_equal(ex.parse(str(e), 1).values(x), e.values(x)), \
+            str(e)
+    # in a product, a power and a derivative tree
+    slope = ex.SqrtSlope(a)
+    for root in (ex.Mul(slope, ex.Var(0)), ex.Mul(ex.Var(0), slope),
+                 ex.Pow(slope, 3), ex.Div(ex.Const(1.0), slope)):
+        e = ex.Expression(root, 1)
+        assert np.allclose(ex.parse(str(e), 1).values(x), e.values(x),
+                           rtol=1e-15, atol=0.0), str(e)
+    e = ex.parse("sqrt(x1^2 + 1)", 1)
+    assert str(e.derivatives[0]) == "2*(1/(2*sqrt(x1^2 + 1))*x1)"
+    assert np.allclose(ex.parse(str(e.derivatives[0].derivatives[0]),
+                                1).values(x),
+                       (x[:, 0] ** 2 + 1.0) ** -1.5, rtol=1e-14, atol=0.0)
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     e = ex.parse("sin(x1*x2) + x3^3 - exp(x2)/2 + sqrt(x1^2 + 4)", 3)

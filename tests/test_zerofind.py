@@ -3,11 +3,12 @@ import pytest
 
 from vfindex import zerofind as zf
 from vfindex.degree import SphereMap, degree_for
-from vfindex.errors import NotTame, ZeroOnBoundary
+from vfindex.errors import NotTame, ResolutionExhausted, ZeroOnBoundary
 from vfindex.expr import parse
 from vfindex.fields import (CallableField, ExpressionField,
                             random_polynomial_field)
-from vfindex.manifold import Collar, DomainManifold
+from vfindex.manifold import (Collar, DomainManifold, surface_grid,
+                              surface_samples, tangential_part, unit_normals)
 
 COLLAR = Collar("neg_g")
 
@@ -101,6 +102,19 @@ def test_boundary_zeros_constant_ball3():
     assert len(recs) == 2
     signs = sorted(r.transverse_sign for r in recs)
     assert signs == ["Inward", "Outward"]
+
+
+def test_more_seeds_than_the_cap_raise(monkeypatch):
+    M = disk()
+    v = ExpressionField.parse(["1", "0"])
+    pts = surface_samples(M, 24)
+    _, grads = M.g.jets(pts)
+    count = len(zf._boundary_seeds(M, v, pts, grads, surface_grid(M, 24)[1]))
+    assert count > 1
+    monkeypatch.setattr(zf, "MAX_SEEDS", 1)
+    with pytest.raises(ResolutionExhausted,
+                       match=f"^{count} boundary seeds, more than"):
+        zf.find_boundary_tangential_zeros(M, COLLAR, v, resolution=24)
 
 
 def test_radial_raises_not_tame_with_uniform_sign():
@@ -221,7 +235,7 @@ def test_one_batch_boundary_polish_matches_per_axis_batches(shape):
     for _ in range(4):
         v = random_polynomial_field(rng, M.n, 3)
         v_par, _ = decompose_batch(COLLAR, pts, grads, v.value(pts))
-        # the seeds of the search, and random ones that mostly never settle
+        # the smallest |v_par|, and random seeds that mostly never settle
         order = np.argsort(np.linalg.norm(v_par, axis=-1))
         seeds = pts[np.concatenate([order[:200],
                                     rng.choice(order[200:], 200)])]
@@ -287,3 +301,76 @@ def test_chart_jacobian_det_matches_central_differences(scene):
         fd = central_difference(f, np.zeros((1, M.n - 1)), 1e-6)[0]
         want = np.linalg.det(fd)
         assert rec.jacobian_det == pytest.approx(want, rel=1e-6)
+
+
+# criterion 7's shape cycle (tests/test_acceptance.py)
+SWEEP_SHAPES = ["ball1_constant", "interval_plus1", "ball2_constant",
+                "annulus_rotational", "disk2holes_constant", "ball3_constant",
+                "solid_torus_rotational", "spherical_shell_constant"]
+
+
+def _criterion_6_field(index):
+    """Draw ``index`` of criterion 6's ball3_constant fields, and its
+    ``full_index`` options."""
+    from vfindex.cli import load_scene
+    rng = np.random.default_rng(777)
+    for shape in ("ball2_constant", "annulus_rotational"):
+        n = load_scene(shape).manifold.n
+        for _ in range(10):
+            random_polynomial_field(rng, n, 2)
+    M = load_scene("ball3_constant").manifold
+    for _ in range(index):
+        random_polynomial_field(rng, M.n, 2)
+    return M, random_polynomial_field(rng, M.n, 2), dict(crosscheck=False)
+
+
+def _sweep_field(seed, index):
+    """Draw ``index`` of criterion 7's generator at ``seed``."""
+    from vfindex.cli import load_scene
+    rng = np.random.default_rng(seed)
+    for i in range(index + 1):
+        M = load_scene(SWEEP_SHAPES[i % len(SWEEP_SHAPES)]).manifold
+        v = random_polynomial_field(rng, M.n, 3)
+    return M, v, {}
+
+
+def _rank_rule_zeros(M, v, pts, grads):
+    """The boundary zeros found from the 4000 samples with the smallest
+    |v_par|, the seeding rule before step lengths."""
+    vals = v.value(pts)
+    scale = float(np.median(np.linalg.norm(vals, axis=-1))) + 1e-30
+    v_par = tangential_part(unit_normals(grads), vals)
+    seeds = pts[np.argsort(np.linalg.norm(v_par, axis=-1))[:4000]]
+    return zf._distinct(zf._polish_boundary(M, v, seeds, scale), "zeros")
+
+
+@pytest.mark.parametrize("draw", [
+    ("criterion 6", 8), (2026, 87), (2026, 94), (2026, 150), (31, 15),
+    (31, 22), (31, 30), (31, 38), (31, 69), (31, 79)],
+    ids=lambda d: f"{d[0]}-{d[1]}".replace(" ", "_"))
+def test_step_seeds_find_the_zeros_of_the_rank_rule(monkeypatch, draw):
+    """On fields where seeds at local minima of |v_par| lost a zero, every
+    boundary search of the auto-tamed index finds the zeros that the 4000
+    smallest |v_par| find, to 1e-9 (converged points of one zero differ in
+    the last bits, by up to 5e-11 on the criterion-7 fields)."""
+    from vfindex.indices import full_index
+    source, index = draw
+    if source == "criterion 6":
+        M, v, options = _criterion_6_field(index)
+    else:
+        M, v, options = _sweep_field(source, index)
+    seeding, searches = zf._boundary_seeds, []
+
+    def compared(M, v, pts, grads, pitch):
+        seeds = seeding(M, v, pts, grads, pitch)
+        scale = float(np.median(v.norms(pts))) + 1e-30
+        got = zf._distinct(zf._polish_boundary(M, v, seeds, scale), "zeros")
+        want = _rank_rule_zeros(M, v, pts, grads)
+        assert len(got) == len(want) > 0
+        assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-9
+        searches.append(len(got))
+        return seeds
+
+    monkeypatch.setattr(zf, "_boundary_seeds", compared)
+    full_index(M, COLLAR, v, auto_tame=True, seed=index, **options)
+    assert searches
