@@ -119,8 +119,6 @@ def complex_verdict(cf: ComplexField):
     S = cf.surface
     for res in RESOLUTIONS:
         pts = surface_samples(S, resolution=res, max_points=200000)
-        if len(pts) == 0:
-            continue
         q = cf.square_norm(pts)
         absq = np.abs(q)
         scale = float(np.median(absq)) + 1e-30

@@ -43,6 +43,11 @@ import numpy as np
 from .errors import ArityMismatch, DomainError, ExprSyntaxError, UnknownVariable
 
 SQRT_NEG_TOL = 1e-12
+# parsed trees with more nodes than this on a path from the root are
+# refused: evaluation, bounds, derivatives and printing recurse once per
+# node, and at this depth a tree still takes two derivatives and prints
+# within Python's default recursion limit
+MAX_DEPTH = 100
 
 _FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
@@ -720,8 +725,30 @@ def parse(text: str, arity: int) -> Expression:
         raise ArityMismatch(f"arity must be 1, 2 or 3, got {arity}")
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    root = _Parser(text, arity).parse()
+    parser = _Parser(text, arity)
+    try:
+        root = parser.parse()
+    except RecursionError:
+        at = parser.toks[min(parser.pos, len(parser.toks) - 1)].pos
+        raise ExprSyntaxError("expression nested too deeply to parse",
+                              at) from None
+    if _depth(root) > MAX_DEPTH:
+        raise ExprSyntaxError(
+            f"expression nested deeper than MAX_DEPTH = {MAX_DEPTH}", 0)
     return Expression(root, arity)
+
+
+def _depth(root):
+    """The number of nodes on the longest path from root to a leaf, counted
+    with a stack of its own rather than by recursion."""
+    deepest, stack = 0, [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in
+                     (getattr(node, "a", None), getattr(node, "b", None))
+                     if isinstance(child, Node))
+    return deepest
 
 
 def _print(node, parent_prec=0):

@@ -382,10 +382,11 @@ def interval_endpoints(M):
 
 
 def collar_bump(t, width):
-    """Smooth cutoff on the collar level: 1 at t=0, 0 for t >= width.
+    """Cutoff on the collar level: 1 for t <= 0, 0 for t >= width.
 
-    Uses exp(t / (width * (t - width))) on 0 < t < width, which extends
-    smoothly by 1 at t = 0 and by 0 beyond the band.
+    Uses exp(t / (width * (t - width))) on 0 < t < width.  It extends
+    smoothly by 0 beyond the band, but at t = 0 only continuously: its
+    right derivative there is -1 / width^2, a corner against the constant 1.
     """
     t = np.asarray(t, float)
     out = np.zeros_like(t)

@@ -3,7 +3,7 @@
 A field is tame when it has no zeros on the boundary and every tangential
 boundary zero has a nonzero transverse component.  ``make_tame`` repairs a
 field that is not, by adding perturbations supported in a collar of the
-boundary (a smooth bump of the approximate boundary distance):
+boundary (a bump of the approximate boundary distance):
 
 * ``half_ball_shift`` evaluates the field at points shifted inward, pushing
   a genuine boundary zero of the field into the interior;
@@ -87,7 +87,7 @@ def half_ball_shift(M, v, eps):
     return CallableField(M.n, fn), entry
 
 
-def collar_blend(M, collar, v, rng, eps):
+def collar_blend(M, v, rng, eps):
     """Add a bump-localized tangential field; the transverse part is untouched."""
     width = M.collar_band()
     w = rng.normal(size=M.n)
@@ -179,7 +179,7 @@ def _perturb(M, collar, v, status, seed=0, resolution=None):
         elif attempt % 3 == 2:
             candidate, entry = random_linear_jiggle(M, current, rng, scale)
         else:
-            candidate, entry = collar_blend(M, collar, current, rng, scale)
+            candidate, entry = collar_blend(M, current, rng, scale)
         got, census = _tameness(M, collar, candidate, resolution)
         if got == "tame":
             log.append(entry)

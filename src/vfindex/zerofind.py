@@ -1,7 +1,9 @@
 """Zero isolation: interior zeros of a field, tangential zeros on the boundary.
 
-Interior search is breadth-first bisection of the bounding box, followed by
-Newton polishing of the surviving cell centers.  A cell is dropped
+Interior search bisects the bounding box in uniform levels, followed by
+Newton polishing of the surviving cell centers.  Level k halves every cell
+along axis k mod n, so depth is the number of halvings per axis and all
+cells of a level have the same shape.  Before each split a cell is dropped
 when the interval bound of g is positive on it (it lies outside the domain)
 or when ``v.zero_free`` holds on it.  For expression fields that test is an
 outward-rounded interval bound, so a cell is dropped only on proof; only a
@@ -190,43 +192,43 @@ def _isolation_radius(z, all_zeros, r, isolated):
 # Interior zeros
 # --------------------------------------------------------------------------
 
-def find_interior_zeros(M, v, depth=9, paranoid=False):
-    """Isolated zeros of v in the interior of {g <= 0}."""
+def _interior_cells(M, v, depth, paranoid):
+    """The cells (lo, hi) of the bounding box that reach the Newton polish.
+
+    M.n * depth uniform levels, depth doubled when paranoid: level k drops
+    the cells proved outside the domain or free of zeros of v, then halves
+    the rest along axis k % M.n, left halves first.  The last level's cells
+    are not tested.
+    """
     if paranoid:
         depth *= 2
     lo = M.bbox[:, 0][None, :].copy()
     hi = M.bbox[:, 1][None, :].copy()
-    target = (M.bbox[:, 1] - M.bbox[:, 0]) / 2.0 ** depth
-    while True:
-        size = hi - lo
-        pending = np.any(size > target[None, :] * 1.0000001, axis=-1)
-        if not np.any(pending):
-            break
-        # exclusion on the cells still to be refined: outside the domain,
-        # or free of zeros of v
+    for level in range(M.n * depth):
         outside = M.g.interval(lo, hi)[0] > 0.0
         keep = ~(outside | v.zero_free(lo, hi, paranoid))
-        keep |= ~pending  # fully refined cells are kept for polishing as-is
         lo, hi = lo[keep], hi[keep]
-        pending = pending[keep]
-        if not np.any(pending):
+        if len(lo) == 0:
             break
-        # split pending cells along their longest axis
-        size = hi - lo
-        rel = size / (M.bbox[:, 1] - M.bbox[:, 0])[None, :]
-        axis = np.argmax(rel, axis=-1)
-        split_lo, split_hi = lo[pending], hi[pending]
-        ax = axis[pending]
-        mid = 0.5 * (split_lo[np.arange(len(ax)), ax] + split_hi[np.arange(len(ax)), ax])
-        left_hi = split_hi.copy()
-        left_hi[np.arange(len(ax)), ax] = mid
-        right_lo = split_lo.copy()
-        right_lo[np.arange(len(ax)), ax] = mid
-        lo = np.vstack([lo[~pending], split_lo, right_lo])
-        hi = np.vstack([hi[~pending], left_hi, split_hi])
+        axis = level % M.n
+        mid = 0.5 * (lo[:, axis] + hi[:, axis])
+        left_hi = hi.copy()
+        left_hi[:, axis] = mid
+        right_lo = lo.copy()
+        right_lo[:, axis] = mid
+        lo = np.vstack([lo, right_lo])
+        hi = np.vstack([left_hi, hi])
         if len(lo) > CELL_CAP:
             raise ResolutionExhausted(
                 f"interior subdivision exceeded {CELL_CAP} active cells")
+    return lo, hi
+
+
+def find_interior_zeros(M, v, depth=9, paranoid=False):
+    """Isolated zeros of v in the interior of {g <= 0}: the polished
+    centers of the cells of ``_interior_cells``, with depth halvings of the
+    bounding box per axis (twice as many when paranoid)."""
+    lo, hi = _interior_cells(M, v, depth, paranoid)
     if len(lo) == 0:
         return []
     centers = 0.5 * (lo + hi)

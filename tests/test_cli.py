@@ -154,6 +154,53 @@ def test_malformed_scene_values_exit_2(tmp_path, capsys, scene, section,
     assert key in err["message"]
 
 
+def _with_expression(tmp_path, section, key, text):
+    """ball2_saddle's scene with one expression replaced by ``text``."""
+    data = json.loads((Path(vfindex.__file__).parent / "scenes"
+                       / "ball2_saddle.scene").read_text())
+    if key == "v":
+        data[section]["v"][0] = text
+    else:
+        data[section][key] = text
+    path = tmp_path / "deep.scene"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("section, key, text", [
+    ("manifold", "g", "(" * 250 + "x1^2 + x2^2 - 1" + ")" * 250),
+    ("manifold", "g", " + ".join(["0*x1"] * 1000) + " + x1^2 + x2^2 - 1"),
+    ("field", "v", "-" * 2000 + "x1"),
+], ids=["g-250-parentheses", "g-1001-terms", "v-2000-minus-signs"])
+@pytest.mark.parametrize("command", ["index", "verify"])
+def test_deeply_nested_expressions_exit_2(tmp_path, capsys, command, section,
+                                          key, text):
+    """Too deep for the parser, or parsed deeper than expr.MAX_DEPTH: a
+    diagnosed syntax error, not a RecursionError."""
+    assert run([command, _with_expression(tmp_path, section, key, text)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "syntax_error"
+    assert "nested" in err["message"]
+
+
+@pytest.mark.parametrize("scene, chi", [("sphere2_real", 2),
+                                        ("torus2_real", 0)])
+def test_index_and_verify_on_real_hypersurfaces(tmp_path, capsys, scene,
+                                                chi):
+    report = tmp_path / "index.json"
+    assert run(["index", scene, "--out", str(report)]) == 0
+    d = json.loads(report.read_text())
+    assert d["ind_total"] == d["chi"] == chi
+    assert d["theorem_holds"] is True
+    assert sum(z["tangential_degree"] for z in d["zeros"]) == chi
+    report = tmp_path / "verify.json"
+    assert run(["verify", scene, "--out", str(report)]) == 0
+    assert capsys.readouterr().out == (
+        f"PASS tangential zero indices sum to chi: total={chi} chi={chi}\n")
+    assert json.loads(report.read_text()) == {
+        "scene": scene, "ind_total": chi, "chi": chi, "passed": True}
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--resolution", "0"), ("--depth", "-1"), ("--seed", "-1"),
 ])

@@ -117,6 +117,57 @@ def test_syntax_error_offset():
     assert info.value.offset == 4
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 199 + "x1" + ")" * 199, "(" * 250 + "x1" + ")" * 250,
+    "-" * 2000 + "x1", "sin(" * 300 + "x1" + ")" * 300],
+    ids=["parens-199", "parens-250", "minus-2000", "sin-300"])
+def test_nesting_too_deep_to_parse_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        ex.parse(text, 1)
+
+
+@pytest.mark.parametrize("text", [
+    " + ".join(["x1"] * 1001), " + ".join(["x1"] * (ex.MAX_DEPTH + 1)),
+    "-" * ex.MAX_DEPTH + "x1",
+    "x1*(" * ex.MAX_DEPTH + "x1" + ")" * ex.MAX_DEPTH],
+    ids=["sum-1001", "sum-over-the-bound", "minus-over-the-bound",
+         "product-over-the-bound"])
+def test_trees_deeper_than_the_bound_are_refused(text):
+    with pytest.raises(ExprSyntaxError, match="MAX_DEPTH") as info:
+        ex.parse(text, 1)
+    assert info.value.offset == 0
+
+
+def _at_the_bound(kind):
+    d = ex.MAX_DEPTH
+    if kind == "sum":
+        # d - 2 additions over cubes: each cube is two nodes deep
+        return " + ".join(["x1^3"] * (d - 1))
+    if kind == "minus":
+        return "-" * (d - 1) + "x1"
+    # sums nested in products, two nodes a level, around a square
+    k = d // 2 - 1
+    return "x1*(x2 + " * k + "x1^2" + ")" * k
+
+
+@pytest.mark.parametrize("kind", ["sum", "minus", "nested"])
+def test_trees_at_the_bound_evaluate_bound_differentiate_and_print(kind):
+    e = ex.parse(_at_the_bound(kind), 2)
+    assert ex._depth(e.root) == ex.MAX_DEPTH
+    x = np.array([[0.3, -0.2], [0.7, 0.4]])
+    second = [dd for d in e.derivatives for dd in d.derivatives]
+    for f in (e, *e.derivatives, *second):
+        assert np.all(np.isfinite(f.values(x)))
+        lo, hi = f.interval(x - 0.1, x + 0.1)
+        assert np.all(lo <= f.values(x)) and np.all(f.values(x) <= hi)
+        assert str(f)
+    assert np.array_equal(ex.parse(str(e), 2).values(x), e.values(x))
+    # a chain of minus signs folds away in its derivatives; the others
+    # keep their depth
+    deepest = max(ex._depth(dd.root) for dd in second)
+    assert deepest == 1 if kind == "minus" else deepest >= ex.MAX_DEPTH
+
+
 def test_unknown_variable_and_arity():
     with pytest.raises(UnknownVariable):
         ex.parse("y + 1", 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vfindex.errors import VfError
+from vfindex.errors import CannotTame, VfError
 from vfindex.expr import parse
 from vfindex.fields import ExpressionField, random_polynomial_field
 from vfindex import indices
@@ -116,6 +116,91 @@ def test_collar_blend_preserves_radial_outwardness():
     assert rep.special_boundary is None
     assert all(b.record.transverse_sign == "Outward" for b in rep.boundary)
     assert str(rep.boundary_index) == "-1"
+
+
+def test_auto_tame_repairs_a_mixed_tangent_field():
+    """The radial field on the annulus points out of the domain on one
+    circle and into it on the other: its tangential part vanishes on the
+    whole boundary with no uniform transverse sign."""
+    from vfindex.cli import load_scene
+    M = load_scene("annulus_rotational").manifold
+    v = ExpressionField.parse(["x1", "x2"])
+    assert vf.tameness_status(M, COLLAR, v) == "mixed_tangent"
+    rep = full_index(M, COLLAR, v, auto_tame=True)
+    assert [p["kind"] for p in rep.perturbations] == ["collar_blend"]
+    assert rep.interior_index == 0 and str(rep.boundary_index) == "0"
+    assert len(rep.boundary) == 4
+    assert rep.special_boundary is None and rep.theorem_holds
+
+
+@pytest.fixture
+def scripted(monkeypatch):
+    """Script the statuses that ``_tameness`` gives the candidates of
+    ``_perturb``: returns the list of statuses to give, and a list of the
+    (kind, eps, perturbed field, candidate) of every attempt."""
+    statuses, attempts = [], []
+    for name in ("half_ball_shift", "collar_blend", "random_linear_jiggle"):
+        def perturbation(M, v, *args, _real=getattr(vf, name)):
+            candidate, entry = _real(M, v, *args)
+            attempts.append((entry["kind"], entry["eps"], v, candidate))
+            return candidate, entry
+        monkeypatch.setattr(vf, name, perturbation)
+
+    def tameness(M, collar, candidate, resolution=None):
+        assert candidate is attempts[-1][3]
+        status = statuses.pop(0)
+        return status, ("census" if status == "tame" else None)
+
+    monkeypatch.setattr(vf, "_tameness", tameness)
+    return statuses, attempts
+
+
+BLEND, JIGGLE, SHIFT = "collar_blend", "random_linear_jiggle", "half_ball_shift"
+
+
+def test_perturb_cycles_the_kinds_halves_eps_and_gives_up(scripted):
+    statuses, attempts = scripted
+    statuses.extend(["tangent_zero"] * vf.MAX_TAME_ATTEMPTS)
+    v = ExpressionField.parse(["1", "0"])
+    with pytest.raises(CannotTame, match="last status: tangent_zero"):
+        vf._perturb(disk(), COLLAR, v, "tangent_zero")
+    assert [kind for kind, *_ in attempts] == [BLEND, BLEND, JIGGLE] * 3 + [BLEND]
+    assert [eps for _, eps, *_ in attempts] == (
+        [1e-2] * 3 + [5e-3] * 3 + [2.5e-3] * 3 + [1.25e-3])
+    # no attempt changed the status, so each one perturbed v itself
+    assert all(field is v for _, _, field, _ in attempts)
+
+
+def test_perturb_adopts_a_changed_status_but_not_special(scripted):
+    statuses, attempts = scripted
+    statuses.extend(["special", "mixed_tangent", "mixed_tangent", "tame"])
+    v = ExpressionField.parse(["1", "0"])
+    out, log, census = vf._perturb(disk(), COLLAR, v, "tangent_zero")
+    kinds = [kind for kind, *_ in attempts]
+    assert kinds == [BLEND, BLEND, JIGGLE, BLEND]
+    fields = [field for _, _, field, _ in attempts]
+    # "special" is no progress; the first "mixed_tangent" is, and its
+    # candidate is perturbed from then on
+    first_progress = attempts[1][3]
+    assert fields == [v, v, first_progress, first_progress]
+    assert out is attempts[3][3] and census == "census"
+    assert [entry["kind"] for entry in log] == [BLEND, BLEND]
+    assert [entry["eps"] for entry in log] == [1e-2, 5e-3]
+
+
+def test_perturb_shifts_a_zero_on_the_boundary(scripted):
+    statuses, attempts = scripted
+    statuses.extend(["zero_on_boundary"] * 3 + ["tangent_zero", "tame"])
+    v = ExpressionField.parse(["x1 - 1", "x2"])
+    out, log, _ = vf._perturb(disk(), COLLAR, v, "zero_on_boundary")
+    assert [(kind, eps) for kind, eps, *_ in attempts] == [
+        (SHIFT, 1e-2), (SHIFT, 1e-2), (SHIFT, 1e-2), (SHIFT, 5e-3),
+        (BLEND, 5e-3)]
+    # the fourth shift moved the zero off the boundary; the blend perturbs
+    # the shifted field
+    assert attempts[4][2] is attempts[3][3]
+    assert [entry["kind"] for entry in log] == [SHIFT, BLEND]
+    assert out is attempts[-1][3]
 
 
 def test_suspension_lemma_basic():

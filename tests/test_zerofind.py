@@ -374,3 +374,132 @@ def test_step_seeds_find_the_zeros_of_the_rank_rule(monkeypatch, draw):
     monkeypatch.setattr(zf, "_boundary_seeds", compared)
     full_index(M, COLLAR, v, auto_tame=True, seed=index, **options)
     assert searches
+
+
+# --------------------------------------------------------------------------
+# Interior bisection in uniform levels
+# --------------------------------------------------------------------------
+
+DOMAIN_SCENES = ["annulus_rotational", "annulus_suspension", "ball1_constant",
+                 "ball1_radial", "ball2_constant", "ball2_radial",
+                 "ball2_saddle", "ball3_constant", "ball3_radial",
+                 "disk2holes_constant", "interval_plus1",
+                 "solid_torus_constant", "solid_torus_rotational",
+                 "spherical_shell_constant"]
+
+
+def _per_cell_cells(M, v, depth, paranoid):
+    """Reference: the bisection before uniform levels.  While some cell is
+    wider than width / 2^depth on an axis (to a factor 1.0000001), the
+    cells still that wide are tested and split along their longest side
+    relative to the bounding box; the others are kept untested.  Also
+    returns whether some round split its cells along more than one axis."""
+    if paranoid:
+        depth *= 2
+    lo = M.bbox[:, 0][None, :].copy()
+    hi = M.bbox[:, 1][None, :].copy()
+    target = (M.bbox[:, 1] - M.bbox[:, 0]) / 2.0 ** depth
+    uneven = False
+    while True:
+        pending = np.any(hi - lo > target[None, :] * 1.0000001, axis=-1)
+        if not np.any(pending):
+            break
+        outside = M.g.interval(lo, hi)[0] > 0.0
+        keep = ~(outside | v.zero_free(lo, hi, paranoid)) | ~pending
+        lo, hi, pending = lo[keep], hi[keep], pending[keep]
+        if not np.any(pending):
+            break
+        rel = (hi - lo) / (M.bbox[:, 1] - M.bbox[:, 0])[None, :]
+        ax = np.argmax(rel, axis=-1)[pending]
+        uneven |= len(np.unique(ax)) > 1
+        split_lo, split_hi = lo[pending], hi[pending]
+        at = np.arange(len(ax))
+        mid = 0.5 * (split_lo[at, ax] + split_hi[at, ax])
+        left_hi, right_lo = split_hi.copy(), split_lo.copy()
+        left_hi[at, ax] = mid
+        right_lo[at, ax] = mid
+        lo = np.vstack([lo[~pending], split_lo, right_lo])
+        hi = np.vstack([hi[~pending], left_hi, split_hi])
+    return lo, hi, uneven
+
+
+def _cells_match_the_reference(M, v, depth=9, paranoid=False):
+    """_interior_cells gives the reference's cells, bit for bit and in
+    order; returns their number."""
+    got = zf._interior_cells(M, v, depth, paranoid)
+    want = _per_cell_cells(M, v, depth, paranoid)[:2]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    return len(got[0])
+
+
+@pytest.mark.parametrize("scene", DOMAIN_SCENES)
+def test_uniform_levels_give_the_per_cell_cells_on_the_scenes(scene):
+    """On the scenes' boxes every cell of a level has the same shape, so
+    the per-cell rule split them all along axis level % n."""
+    from vfindex.cli import load_scene
+    sc = load_scene(scene)
+    M, v = sc.manifold, sc.field
+    _cells_match_the_reference(M, v)
+    _cells_match_the_reference(M, -v)
+    _cells_match_the_reference(M, v, depth=3, paranoid=True)
+    assert _cells_match_the_reference(M, v, depth=0) == 1
+
+
+def test_uniform_levels_give_the_per_cell_cells_on_criterion_7_fields():
+    """Every 11th of the first 200 draws of criterion 7's generator."""
+    from vfindex.cli import load_scene
+    shapes = {name: load_scene(name).manifold for name in SWEEP_SHAPES}
+    rng = np.random.default_rng(2026)
+    cells = []
+    for index in range(200):
+        M = shapes[SWEEP_SHAPES[index % len(SWEEP_SHAPES)]]
+        v = random_polynomial_field(rng, M.n, 3)
+        if index % 11 == 0:
+            cells.append(_cells_match_the_reference(M, v))
+    # most of these fields have interior zeros, so cells reach the polish
+    assert len(cells) == 19 and sum(count > 0 for count in cells) >= 10
+
+
+def _non_dyadic_ball(rng, n):
+    """A ball whose bounding box has corners with three decimals, so that
+    the halvings of its sides round differently."""
+    c = np.round(rng.uniform(-0.6, 0.6, n), 3)
+    r = round(float(rng.uniform(0.8, 1.4)), 3)
+    lo = np.round(c - r - rng.uniform(0.05, 0.6, n), 3)
+    hi = np.round(c + r + rng.uniform(0.05, 0.6, n), 3)
+    g = " + ".join(f"(x{i + 1} - {float(c[i])!r})^2" for i in range(n))
+    return DomainManifold(parse(f"{g} - {r * r!r}", n), n,
+                          np.stack([lo, hi], axis=-1), "")
+
+
+def test_uniform_levels_on_non_dyadic_boxes(monkeypatch):
+    """Where rounding made the per-cell rule split the cells of one round
+    along different axes, the uniform levels still halve every side depth
+    times, and find the same zeros, isolation radii and indices."""
+    from vfindex.indices import interior_index
+    rng = np.random.default_rng(12)
+    uneven = zeros = 0
+    for case in range(16):
+        M = _non_dyadic_ball(rng, 2 + case % 2)
+        v = random_polynomial_field(rng, M.n, 3)
+        lo, hi = zf._interior_cells(M, v, 9, False)
+        width = (M.bbox[:, 1] - M.bbox[:, 0]) / 2.0 ** 9
+        assert np.allclose(hi - lo, width[None, :], rtol=1e-9, atol=0.0)
+        ref_lo, ref_hi, split_unevenly = _per_cell_cells(M, v, 9, False)
+        if not split_unevenly:
+            continue
+        uneven += 1
+        got = zf.find_interior_zeros(M, v)
+        with monkeypatch.context() as patch:
+            patch.setattr(zf, "_interior_cells",
+                          lambda *args: (ref_lo, ref_hi))
+            want = zf.find_interior_zeros(M, v)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a.position - b.position)) < 1e-12
+            assert a.isolation_radius == b.isolation_radius
+            assert interior_index(M, v, a) == interior_index(M, v, b)
+        zeros += len(got)
+    assert uneven >= 12 and zeros >= 8
